@@ -113,10 +113,13 @@ def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
 
 def step(state: ObserverState, cfg: ObserverConfig, y_k,
          w_lo, w_hi, d_lo=None, d_hi=None) -> ObserverState:
-    """Advance the framed bounds one step using the output at time ``k``."""
-    y_k = np.asarray(y_k, dtype=float)
-    w_lo = np.asarray(w_lo, dtype=float)
-    w_hi = np.asarray(w_hi, dtype=float)
+    """Advance the framed bounds one step using the output at time ``k``.
+
+    Raises ``ValueError`` on a NaN or infinite input, or on unordered bounds.
+    """
+    y_k = _finite("y_k", y_k)
+    w_lo = _finite("w_lo", w_lo)
+    w_hi = _finite("w_hi", w_hi)
     if np.any(w_lo > w_hi):
         raise ValueError("noise bounds are not ordered: w_lo > w_hi somewhere")
     lam = cfg.coord.Lambda
@@ -129,8 +132,8 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     zhat_lo = lam @ state.zhat_lo + drive + rb_neg @ w_lo - rb_pos @ w_hi
 
     if d_lo is not None or d_hi is not None:
-        d_lo = np.zeros(cfg.transform.plant.n_x) if d_lo is None else np.asarray(d_lo, float)
-        d_hi = np.zeros(cfg.transform.plant.n_x) if d_hi is None else np.asarray(d_hi, float)
+        d_lo = np.zeros(cfg.transform.plant.n_x) if d_lo is None else _finite("d_lo", d_lo)
+        d_hi = np.zeros(cfg.transform.plant.n_x) if d_hi is None else _finite("d_hi", d_hi)
         if np.any(d_lo > d_hi):
             raise ValueError("disturbance bounds are not ordered: d_lo > d_hi somewhere")
         delta = cfg.consts.c_L * max(inf_norm(d_hi), inf_norm(d_lo))
@@ -150,20 +153,30 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
                          inv_hi=state.inv_hi, inv_lo=state.inv_lo)
 
 
+def _finite(name: str, v) -> np.ndarray:
+    # every comparison with NaN is false, so the ordering checks alone let it through
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} is not finite: {v}")
+    return v
+
+
 def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
     """Recover state-space bounds from the current unframed bounds.
 
     At ``k = 0`` the bounds are the initial box and the state is returned
-    unchanged. Otherwise both bound vectors are inverted numerically (warm
-    started from the previous recovery) and combined per the configured
-    variant with the inverse-Lipschitz margin.
+    unchanged. Otherwise both bound vectors are inverted numerically in one
+    stacked call (each warm started from its previous recovery) and combined
+    per the configured variant with the inverse-Lipschitz margin.
     """
     if state.k == 0:
         return state
-    inv_cfg_hi = cfg.inverse_cfg.with_warm_start(state.inv_hi)
-    inv_cfg_lo = cfg.inverse_cfg.with_warm_start(state.inv_lo)
-    u, resid_hi = invert_T(cfg.transform, state.z_hi, inv_cfg_hi)
-    v, resid_lo = invert_T(cfg.transform, state.z_lo, inv_cfg_lo)
+    warm = None
+    if state.inv_hi is not None and state.inv_lo is not None:
+        warm = np.stack([state.inv_hi, state.inv_lo])
+    (u, v), resids = invert_T(cfg.transform, np.stack([state.z_hi, state.z_lo]),
+                              cfg.inverse_cfg.with_warm_start(warm))
+    resid_hi, resid_lo = float(resids[0]), float(resids[1])
     margin = cfg.margin_c_over_gamma * float(np.max(state.z_hi - state.z_lo))
     if cfg.recovery_variant == "min_max":
         x_hi = np.minimum(u, v) + margin
@@ -198,8 +211,9 @@ def recover_x_mixed_monotone(state: ObserverState, cfg: ObserverConfig,
     the decomposition is spot-checked against the numerical inverse on the
     diagonal (``decomposition(z, z)`` must equal the inverse at ``z``).
     """
-    for z in (state.z_hi, state.z_lo, 0.5 * (state.z_hi + state.z_lo)):
-        x_num, _ = invert_T(cfg.transform, z, cfg.inverse_cfg)
+    zs = np.stack([state.z_hi, state.z_lo, 0.5 * (state.z_hi + state.z_lo)])
+    xs_num, _ = invert_T(cfg.transform, zs, cfg.inverse_cfg)
+    for z, x_num in zip(zs, xs_num):
         diag = np.asarray(decomposition(z, z), dtype=float)
         if inf_norm(diag - x_num) > check_tol:
             raise ValueError(

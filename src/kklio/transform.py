@@ -199,7 +199,12 @@ class InverseConfig:
 
 @dataclass(frozen=True, eq=False)
 class KklTransform:
-    """Evaluable transform in either polynomial or series mode."""
+    """Evaluable transform in either polynomial or series mode.
+
+    In series mode ``series_n`` is the truncation length, fixed when the
+    transform is built; it stays ``None`` when the scaled target matrix is
+    not a contraction, and evaluation then raises.
+    """
 
     mode: str
     target: TargetSystem
@@ -207,7 +212,7 @@ class KklTransform:
     series_tol: float = 1e-9
     poly_coeffs: Optional[np.ndarray] = None
     basis: Optional[tuple[tuple[int, ...], ...]] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    series_n: Optional[int] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("series", "polynomial"):
@@ -220,6 +225,9 @@ class KklTransform:
                 raise ValueError("coefficient table shape does not match target/basis")
             object.__setattr__(self, "poly_coeffs", coeffs)
             object.__setattr__(self, "basis", tuple(tuple(e) for e in self.basis))
+        else:
+            object.__setattr__(self, "series_n",
+                               _series_length(self.target, self.plant, self.series_tol))
 
     def __call__(self, x) -> np.ndarray:
         return eval_T(self, x)
@@ -246,14 +254,16 @@ def eval_T_series(t: KklTransform, x) -> np.ndarray:
     ``series_tol``; it requires the scaled target matrix to be a
     contraction.
     """
-    n_terms = _series_length(t)
+    if t.series_n is None:
+        raise ValueError(f"scaled target matrix has norm {mat_inf_norm(t.target.A):.3g} >= 1; "
+                         "series may diverge")
     x = np.asarray(x, dtype=float)
     a = t.target.A
     b = t.target.B
     acc = np.zeros(x.shape[:-1] + (t.target.n_z,))
     a_pow_b = b.copy()
     v = x
-    for _ in range(n_terms):
+    for _ in range(t.series_n):
         v = t.plant.f_inv_clamped(v)
         hv = np.asarray(t.plant.h(v), dtype=float)
         acc = acc + np.einsum("zy,...y->...z", a_pow_b, hv)
@@ -261,25 +271,20 @@ def eval_T_series(t: KklTransform, x) -> np.ndarray:
     return acc
 
 
-def _series_length(t: KklTransform) -> int:
-    if "series_n" in t._cache:
-        return t._cache["series_n"]
-    a_norm = mat_inf_norm(t.target.A)
+def _series_length(target: TargetSystem, plant: PlantModel, series_tol: float) -> Optional[int]:
+    a_norm = mat_inf_norm(target.A)
     if a_norm >= 1.0:
-        raise ValueError(f"scaled target matrix has norm {a_norm:.3g} >= 1; series may diverge")
-    box = t.plant.box_x_enlarged
+        return None
+    box = plant.box_x_enlarged
     per_axis = max(2, int(round(_SERIES_SUP_GRID ** (1.0 / box.dim))))
     grid = box.grid(per_axis)
-    h_max = _SUP_OUTPUT_INFLATION * float(np.max(np.abs(np.asarray(t.plant.h(grid), dtype=float))))
-    b_norm = mat_inf_norm(t.target.B)
+    h_max = _SUP_OUTPUT_INFLATION * float(np.max(np.abs(np.asarray(plant.h(grid), dtype=float))))
+    b_norm = mat_inf_norm(target.B)
     scale = b_norm * max(h_max, 1e-30) / (1.0 - a_norm)
-    if scale <= t.series_tol:
-        n = 1
-    else:
-        n = int(math.ceil(math.log(t.series_tol / scale) / math.log(a_norm)))
-        n = max(n, 1)
-    t._cache["series_n"] = n
-    return n
+    if scale <= series_tol:
+        return 1
+    n = int(math.ceil(math.log(series_tol / scale) / math.log(a_norm)))
+    return max(n, 1)
 
 
 def make_series_transform(plant: PlantModel, target: TargetSystem,
@@ -417,21 +422,26 @@ def _output_in_basis(plant: PlantModel, basis) -> np.ndarray:
 
 
 def _monomials(x: np.ndarray, basis) -> np.ndarray:
-    cols = []
-    for e in basis:
-        col = np.ones(x.shape[:-1])
+    """Basis monomials of ``x``, one column per basis exponent tuple.
+
+    Each power ``x_i ** p`` is computed once and the products are taken in
+    axis order, so the values equal the per-monomial product loop's.
+    """
+    powers = {(i, p): x[..., i] ** p for e in basis for i, p in enumerate(e) if p}
+    out = np.ones(x.shape[:-1] + (len(basis),))
+    for j, e in enumerate(basis):
+        col = out[..., j]
         for i, p in enumerate(e):
             if p:
-                col = col * x[..., i] ** p
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+                np.multiply(col, powers[i, p], out=col)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # numerical left inverse
 
 
-def invert_T(t: KklTransform, z, cfg: InverseConfig) -> tuple[np.ndarray, float]:
+def invert_T(t: KklTransform, z, cfg: InverseConfig):
     """Best box-constrained preimage of ``z`` under the transform.
 
     Multi-start damped Gauss-Newton with finite-difference Jacobians; the
@@ -439,21 +449,45 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig) -> tuple[np.ndarray, float]
     batch. Ties between equally good minimizers break on smaller max-norm,
     then lexicographically, so results are deterministic. Never raises: the
     residual reports the fit quality.
+
+    ``z`` of shape ``(n_z,)`` returns ``(x, resid)``. A stack of targets of
+    shape ``(p, n_z)`` returns ``(xs, resids)`` of shapes ``(p, n_x)`` and
+    ``(p,)``, each row exactly what the single-target call returns; the
+    warm start is then ``None``, one point shared by every target, or one
+    point per target of shape ``(p, n_x)``. All targets' starts run in the
+    same batch, so the loop runs as long as the slowest target needs.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (t.target.n_z,):
-        raise ValueError(f"z must have shape ({t.target.n_z},)")
+    n_z = t.target.n_z
+    if z.shape != (n_z,) and (z.ndim != 2 or z.shape[1] != n_z):
+        raise ValueError(f"z must have shape ({n_z},) or (p, {n_z})")
+    zs = z.reshape(-1, n_z)
+    p = len(zs)
+    lattice = cfg.start_points()
+    n_x = lattice.shape[1]
+    starts = np.broadcast_to(lattice, (p,) + lattice.shape)
     if cfg.warm_start is not None:
-        starts = np.vstack([cfg.warm_start[None, :], cfg.start_points()])
-    else:
-        starts = cfg.start_points()
-    xs, rs = _gauss_newton(t, z, starts, cfg)
-    keys = sorted(
-        range(len(rs)),
-        key=lambda i: (rs[i], np.max(np.abs(xs[i])), tuple(xs[i])),
-    )
-    best = keys[0]
-    return xs[best], float(rs[best])
+        warm = np.asarray(cfg.warm_start, dtype=float)
+        if warm.shape not in ((n_x,), (p, n_x)):
+            raise ValueError(f"warm_start must have shape ({n_x},) or ({p}, {n_x})")
+        warm = np.broadcast_to(warm, (p, n_x))
+        starts = np.concatenate([warm[:, None, :], starts], axis=1)
+    n_per = starts.shape[1]
+    xs, rs = _gauss_newton(t, np.repeat(zs, n_per, axis=0), starts.reshape(-1, n_x), cfg)
+    xs = xs.reshape(p, n_per, n_x)
+    rs = rs.reshape(p, n_per)
+    best = [_best_start(x, r) for x, r in zip(xs, rs)]
+    x_best = xs[np.arange(p), best]
+    r_best = rs[np.arange(p), best]
+    if z.ndim == 1:
+        return x_best[0], float(r_best[0])
+    return x_best, r_best
+
+
+def _best_start(xs: np.ndarray, rs: np.ndarray) -> int:
+    """Index of the smallest residual; ties go to the smaller max-norm, then
+    to the lexicographically smaller point, then to the earlier start."""
+    return int(np.lexsort(tuple(xs.T[::-1]) + (np.abs(xs).max(axis=1), rs))[0])
 
 
 _LS_ALPHAS = 0.5 ** np.arange(14)
@@ -461,22 +495,30 @@ _LS_ALPHAS = 0.5 ** np.arange(14)
 
 def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
                   cfg: InverseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep Gauss-Newton from every start; row ``s`` fits target ``z[s]``.
+
+    A row stops moving once it converges or stalls, so each row's iterates
+    do not depend on which other rows share the batch.
+    """
     lo, hi = cfg.box.lo, cfg.box.hi
     x = np.clip(np.asarray(starts, dtype=float), lo, hi)
     n_s, n_x = x.shape
+    rows = np.arange(n_s)
     conv = np.zeros(n_s, dtype=bool)
     damping = 1e-12 * np.eye(n_x)
     eye = np.eye(n_x)
     tx = eval_T(t, x)
     for _ in range(cfg.max_iters):
-        if np.all(conv):
+        if conv.all():
             break
         res = tx - z
-        f0 = np.sum(res * res, axis=1)
+        f0 = (res * res).sum(axis=1)
         steps = cfg.fd_step * np.maximum(1.0, np.abs(x))
         probes = (x[None, :, :] + steps.T[:, :, None] * eye[:, None, :]).reshape(-1, n_x)
         tp = eval_T(t, probes).reshape(n_x, n_s, -1)
-        jac = np.stack([(tp[j] - tx) / steps[:, j, None] for j in range(n_x)], axis=2)
+        # einsum sums in another order over a strided operand: keep the
+        # (start, row, axis) layout contiguous so the sums stay bit-stable
+        jac = np.ascontiguousarray(((tp - tx) / steps.T[:, :, None]).transpose(1, 2, 0))
         jtj = np.einsum("sri,srj->sij", jac, jac) + damping
         grad = np.einsum("sri,sr->si", jac, res)
         direction = -np.linalg.solve(jtj, grad[..., None])[..., 0]
@@ -485,18 +527,17 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         trials = np.clip(x[None, :, :] + _LS_ALPHAS[:, None, None] * direction[None, :, :],
                          lo, hi)
         res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), n_s, -1) - z
-        f_t = np.sum(res_t * res_t, axis=2)
+        f_t = (res_t * res_t).sum(axis=2)
         improving = f_t < f0[None, :]
         has_step = improving.any(axis=0) & ~conv
         first = np.argmax(improving, axis=0)
-        x_next = np.where(has_step[:, None], trials[first, np.arange(n_s)], x)
-        tx_next = np.where(has_step[:, None],
-                           res_t[first, np.arange(n_s)] + z, tx)
+        x_next = np.where(has_step[:, None], trials[first, rows], x)
+        tx_next = np.where(has_step[:, None], res_t[first, rows] + z, tx)
         stalled = ~has_step & ~conv
-        move = np.max(np.abs(x_next - x), axis=1)
+        move = np.abs(x_next - x).max(axis=1)
         x, tx = x_next, tx_next
-        resid = np.max(np.abs(tx - z), axis=1)
-        conv |= stalled | (resid <= cfg.tol) | (move <= 1e-15 * (1.0 + np.max(np.abs(x), axis=1)))
+        resid = np.abs(tx - z).max(axis=1)
+        conv |= stalled | (resid <= cfg.tol) | (move <= 1e-15 * (1.0 + np.abs(x).max(axis=1)))
     resid = np.max(np.abs(tx - z), axis=1)
     return x, resid
 

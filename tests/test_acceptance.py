@@ -3,6 +3,7 @@
 Run ``pytest tests/test_acceptance.py -v`` (the lines bypass capture).
 """
 
+import hashlib
 import math
 import time
 
@@ -13,7 +14,7 @@ from kklio import (CanonicalBlock, InverseConfig, assemble_target_matrix,
                    build_coord_change, eval_T, eval_T_poly, eval_T_series,
                    init_observer, invert_T, make_series_transform, step,
                    transform_residual)
-from kklio.harness import RunConfig, run_experiment
+from kklio.harness import RunConfig, run_experiment, write_csv
 from kklio.presets import build_oscillator
 
 GRID_1000 = 32  # 32x32 lattice over the invariant box ~ 1e3 points
@@ -60,6 +61,12 @@ def noisy_runs():
         runs[gamma] = res
         total += dt
     return runs, total
+
+
+@pytest.fixture(scope="module")
+def disturbance_run():
+    return _timed_run(RunConfig(gamma=1.0, steps=500, noise=True, disturbance=True,
+                                window=(100, 500)))
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +223,8 @@ def test_criterion_10_frame_construction(announce):
              f"sigma={seq.sigma:.4g} in {dt:.2f}s")
 
 
-def test_criterion_11_disturbance_path(announce):
-    res, dt = _timed_run(RunConfig(gamma=1.0, steps=500, noise=True, disturbance=True,
-                                   window=(100, 500)))
+def test_criterion_11_disturbance_path(disturbance_run, announce):
+    res, dt = disturbance_run
     widths = np.array([r.width_x for r in res.rows])
     bounded = float(widths[250:].max()) <= 1.5 * float(widths[50:250].max()) + 1e-6
     ok = res.summary["violations"] == 0 and bounded
@@ -234,3 +240,25 @@ def test_criterion_12_determinism(tmp_path, announce):
     run_experiment(RunConfig(steps=40, noise=True, window=(10, 40), out=str(out2)))
     ok = out1.read_bytes() == out2.read_bytes()
     announce(12, "byte-identical traces", ok)
+
+
+# sha256 of the CSV traces of the suite's own 500-step runs (numpy 2.4.6);
+# a change meant to keep behaviour must keep them, one that changes numbers
+# updates them on purpose
+GOLDEN_SHA256 = {
+    "noise-g1": "24d40bd8b71cbd9c9d53ba7d5655e6d294919f008fed08eb2fd6444921ed41fc",
+    "noise-g07": "7043e10589e9db7bc647ee2bd5d168bf2162739cb3708502ad19b903c65b804b",
+    "noise-dist-g1": "b26ae69b056e4277dffbb9bba81a12f65efe0e03416dcec79110c18136435296",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_trace_sha256(name, request, tmp_path):
+    if name == "noise-dist-g1":
+        res, _ = request.getfixturevalue("disturbance_run")
+    else:
+        runs, _ = request.getfixturevalue("noisy_runs")
+        res = runs[1.0 if name == "noise-g1" else 0.7]
+    path = tmp_path / f"{name}.csv"
+    write_csv(str(path), res.rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]

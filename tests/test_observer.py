@@ -70,6 +70,21 @@ def test_step_rejects_unordered_noise(osc):
         step(state, osc.observer_cfg, np.zeros(1), np.array([0.1]), np.array([-0.1]))
 
 
+@pytest.mark.parametrize("arg", ["y_k", "w_lo", "w_hi", "d_lo", "d_hi"])
+def test_step_rejects_non_finite(osc, arg):
+    # a NaN compares false, so without the finiteness check it would pass
+    # the ordering checks and poison every later bound
+    state = init_observer(osc.observer_cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
+    n_x = osc.plant.n_x
+    good = dict(y_k=np.zeros(1), w_lo=np.array([-0.1]), w_hi=np.array([0.1]),
+                d_lo=np.full(n_x, -0.01), d_hi=np.full(n_x, 0.01))
+    step(state, osc.observer_cfg, **good)
+    for bad in (np.nan, np.inf, -np.inf):
+        kw = dict(good, **{arg: np.full_like(good[arg], bad)})
+        with pytest.raises(ValueError, match=arg):
+            step(state, osc.observer_cfg, **kw)
+
+
 def test_noise_free_width_recursion(osc):
     _, states = run_observer(osc, steps=10, noise=False)
     lam = osc.coord.Lambda

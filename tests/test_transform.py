@@ -269,6 +269,72 @@ def test_invert_warm_start_used(osc):
     assert resid <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def osc_series(osc):
+    return make_series_transform(osc.plant, osc.target)
+
+
+@pytest.mark.parametrize("warm", [None, "shared", "per_target"])
+@pytest.mark.parametrize("mode", ["polynomial", "series"])
+def test_invert_stack_equals_single_calls(osc, osc_series, mode, warm):
+    # the first target is met exactly by its warm start (or within a few
+    # iterations from the lattice); the second is unreachable, so its starts
+    # run to max_iters while the first target's rows sit converged
+    t = osc.transform if mode == "polynomial" else osc_series
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    x_near = np.array([0.4, 0.2])
+    zs = np.stack([eval_T(t, x_near), eval_T(t, np.array([1.0, 0.5])) + 50.0])
+    warms = {None: [None, None],
+             "shared": [x_near, x_near],
+             "per_target": [x_near, np.array([-0.3, 0.6])]}[warm]
+    stack_warm = None if warm is None else (x_near if warm == "shared" else np.stack(warms))
+    xs, rs = invert_T(t, zs, cfg.with_warm_start(stack_warm))
+    assert xs.shape == (2, 2) and rs.shape == (2,)
+    for j in range(2):
+        x, r = invert_T(t, zs[j], cfg.with_warm_start(warms[j]))
+        assert np.array_equal(xs[j], x) and rs[j] == r
+    assert rs[0] <= 1e-8 and rs[1] > 1.0
+
+
+def test_invert_stack_rejects_bad_shapes(osc):
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    z = eval_T(osc.transform, np.array([0.4, 0.2]))
+    with pytest.raises(ValueError, match="z must"):
+        invert_T(osc.transform, z[:3], cfg)
+    with pytest.raises(ValueError, match="warm_start"):
+        invert_T(osc.transform, np.stack([z, z]), cfg.with_warm_start(np.zeros((3, 2))))
+
+
+def test_best_start_matches_sorted_keys():
+    from kklio.transform import _best_start
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        # few distinct values, so residual, max-norm and point ties all occur
+        xs = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=(12, 2))
+        rs = rng.choice([0.0, 1e-12, 0.3], size=12)
+        ref = sorted(range(12), key=lambda i: (rs[i], np.max(np.abs(xs[i])), tuple(xs[i])))[0]
+        assert _best_start(xs, rs) == ref
+
+
+def _monomials_product_loop(x, basis):
+    cols = []
+    for e in basis:
+        col = np.ones(x.shape[:-1])
+        for i, p in enumerate(e):
+            if p:
+                col = col * x[..., i] ** p
+        cols.append(col)
+    return np.stack(cols, axis=-1)
+
+
+def test_monomials_match_product_loop():
+    from kklio.transform import _monomials
+    basis = ((0, 0, 0), (3, 0, 1), (1, 1, 1), (0, 4, 0), (2, 0, 0), (0, 0, 1), (1, 2, 3))
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (7, 11, 3))
+    for pts in (x, x[0, 0]):
+        assert np.array_equal(_monomials(pts, basis), _monomials_product_loop(pts, basis))
+
+
 def test_invert_respects_start_cap(osc):
     cfg = InverseConfig(box=osc.plant.box_x_enlarged, starts=1, lattice_per_axis=3)
     assert cfg.start_points().shape == (1, 2)
