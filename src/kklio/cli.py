@@ -8,7 +8,8 @@ Subcommands:
 
 A flat JSON config file can supply any ``run``/``compare`` option; explicit
 command-line flags win on conflict. Exit codes: 0 success, 2 enclosure
-violation, 3 configuration error.
+violation, 3 configuration error, 4 the true state left the enlarged box
+(the guarantees no longer hold from that step on).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .harness import RunConfig, compare_gammas, format_comparison, run_experimen
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_CONFIG = 3
+EXIT_LEFT_BOX = 4
 
 _RUN_FIELDS = ("preset", "tau", "gamma", "steps", "seed", "noise", "disturbance",
                "variant", "x0", "x0_halfwidth", "window", "out", "svg", "coeffs",
@@ -139,6 +141,9 @@ def _cmd_run(cfg: RunConfig) -> int:
         print(f"trace written to {cfg.out}")
     if cfg.svg:
         print(f"chart written to {cfg.svg}")
+    if s["left_box_at"] is not None:
+        _report_left_box(s)
+        return EXIT_LEFT_BOX
     if s["violations"]:
         print(f"enclosure violated at {s['violations']} step(s), first at "
               f"k={s['first_violation_k']}", file=sys.stderr)
@@ -150,12 +155,21 @@ def _cmd_run(cfg: RunConfig) -> int:
 def _cmd_compare(cfg: RunConfig, gammas) -> int:
     summaries = compare_gammas(cfg, gammas)
     print(format_comparison(summaries))
+    left = [s for s in summaries if s["left_box_at"] is not None]
+    if left:
+        _report_left_box(left[0])
+        return EXIT_LEFT_BOX
     bad = [s for s in summaries if s["violations"]]
     if bad:
         print(f"enclosure violated for gamma={bad[0]['gamma']:g} at "
               f"k={bad[0]['first_violation_k']}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
+
+
+def _report_left_box(s: dict) -> None:
+    print(f"state left the enlarged box at k={s['left_box_at']} (gamma={s['gamma']:g}); "
+          "bounds are not guaranteed from there on", file=sys.stderr)
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:

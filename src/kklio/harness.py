@@ -3,14 +3,16 @@
 A run produces one trace row per time step (true state, state/transform
 bounds, output, noise, inversion residuals, bound widths) plus a summary
 with the enclosure-violation count, the mean state-bound width over a
-window, and a geometric width-decay fit. CSV output uses 17-significant-
-digit decimal formatting, so identical configurations produce byte-identical
-files.
+window, a geometric width-decay fit, and the first step at which the true
+state left the enlarged box (``left_box_at``, ``None`` if it never did).
+CSV output uses 17-significant-digit decimal formatting, so identical
+configurations produce byte-identical files.
 
 Violation counting is slack-aware: on top of the checking slack of 1e-9,
 state-space checks allow the published inversion slack
 ``margin_coefficient * max(resid_hi, resid_lo)``, the guaranteed effect of a
-nonzero least-squares residual on the recovered bounds.
+nonzero least-squares residual on the recovered bounds. A row with a
+non-finite bound counts as a violation.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         state = recover_x_bounds(state, obs_cfg)
         rows.append(_row_from_state(state.k, trace, state, bundle))
 
-    summary = _summarize(cfg, rows, bundle)
+    summary = _summarize(cfg, rows, bundle, trace.left_box_at)
     if cfg.out:
         write_csv(cfg.out, rows)
     if cfg.svg:
@@ -143,12 +145,14 @@ def _row_from_state(k, trace, state, bundle) -> TraceRow:
     )
 
 
-def _summarize(cfg: RunConfig, rows, bundle) -> dict:
+def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int]) -> dict:
     margin_coeff = bundle.observer_cfg.margin_c_over_gamma
     violations = []
     for r in rows:
         x_slack = CHECK_SLACK + margin_coeff * max(r.resid_hi, r.resid_lo)
-        if (np.any(r.x < r.x_lo - x_slack) or np.any(r.x > r.x_hi + x_slack)
+        # a NaN bound compares false both ways, so finiteness is checked apart
+        finite = all(np.isfinite(b).all() for b in (r.x_lo, r.x_hi, r.z_lo, r.z_hi))
+        if (not finite or np.any(r.x < r.x_lo - x_slack) or np.any(r.x > r.x_hi + x_slack)
                 or np.any(r.z < r.z_lo - CHECK_SLACK) or np.any(r.z > r.z_hi + CHECK_SLACK)):
             violations.append(r.k)
 
@@ -186,6 +190,7 @@ def _summarize(cfg: RunConfig, rows, bundle) -> dict:
         "margin_coefficient": margin_coeff,
         "gamma_star_raw": bundle.gamma_star_raw,
         "max_resid": max(max(r.resid_hi, r.resid_lo) for r in rows),
+        "left_box_at": left_box_at,
     }
 
 

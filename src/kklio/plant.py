@@ -52,9 +52,6 @@ class PlantModel:
         """One backward step, saturated into the enlarged box."""
         return self.box_x_enlarged.clamp(self.f_inv(np.asarray(x, dtype=float)))
 
-    def with_initial_box(self, box_x0: Box) -> "PlantModel":
-        return replace(self, box_x0=box_x0)
-
 
 @dataclass(frozen=True)
 class SystemConstants:

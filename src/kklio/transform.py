@@ -445,17 +445,18 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig):
     """Best box-constrained preimage of ``z`` under the transform.
 
     Multi-start damped Gauss-Newton with finite-difference Jacobians; the
-    warm start (when given) and all lattice starts iterate in one lockstep
-    batch. Ties between equally good minimizers break on smaller max-norm,
-    then lexicographically, so results are deterministic. Never raises: the
-    residual reports the fit quality.
+    warm start (when given) and all lattice starts iterate in one batch,
+    which a start leaves once it converges or stalls. Ties between equally
+    good minimizers break on smaller max-norm, then lexicographically, so
+    results are deterministic. Never raises: the residual reports the fit
+    quality.
 
     ``z`` of shape ``(n_z,)`` returns ``(x, resid)``. A stack of targets of
     shape ``(p, n_z)`` returns ``(xs, resids)`` of shapes ``(p, n_x)`` and
     ``(p,)``, each row exactly what the single-target call returns; the
     warm start is then ``None``, one point shared by every target, or one
     point per target of shape ``(p, n_x)``. All targets' starts run in the
-    same batch, so the loop runs as long as the slowest target needs.
+    same batch; a target whose starts have all stopped costs nothing more.
     """
     z = np.asarray(z, dtype=float)
     n_z = t.target.n_z
@@ -495,49 +496,57 @@ _LS_ALPHAS = 0.5 ** np.arange(14)
 
 def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
                   cfg: InverseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep Gauss-Newton from every start; row ``s`` fits target ``z[s]``.
+    """Gauss-Newton from every start; row ``s`` fits target ``z[s]``.
 
-    A row stops moving once it converges or stalls, so each row's iterates
-    do not depend on which other rows share the batch.
+    Each iteration runs only on the active rows; a row leaves the batch once
+    it converges or stalls, and the remaining rows iterate exactly as
+    before. Each row's iterates do not depend on which other rows share the
+    batch, as long as ``eval_T`` gives a point the same bits in any batch:
+    a lone polynomial point goes through a one-row matmul (BLAS gemv) that
+    rounds differently, and the probes of a lone active row are one point
+    when ``n_x == 1``.
     """
     lo, hi = cfg.box.lo, cfg.box.hi
     x = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    n_s, n_x = x.shape
-    rows = np.arange(n_s)
-    conv = np.zeros(n_s, dtype=bool)
+    n_x = x.shape[1]
     damping = 1e-12 * np.eye(n_x)
     eye = np.eye(n_x)
     tx = eval_T(t, x)
+    act = np.arange(len(x))
     for _ in range(cfg.max_iters):
-        if conv.all():
+        if not act.size:
             break
-        res = tx - z
+        xa, txa, za = x[act], tx[act], z[act]
+        n_s = len(act)
+        res = txa - za
         f0 = (res * res).sum(axis=1)
-        steps = cfg.fd_step * np.maximum(1.0, np.abs(x))
-        probes = (x[None, :, :] + steps.T[:, :, None] * eye[:, None, :]).reshape(-1, n_x)
+        steps = cfg.fd_step * np.maximum(1.0, np.abs(xa))
+        probes = (xa[None, :, :] + steps.T[:, :, None] * eye[:, None, :]).reshape(-1, n_x)
         tp = eval_T(t, probes).reshape(n_x, n_s, -1)
         # einsum sums in another order over a strided operand: keep the
         # (start, row, axis) layout contiguous so the sums stay bit-stable
-        jac = np.ascontiguousarray(((tp - tx) / steps.T[:, :, None]).transpose(1, 2, 0))
+        jac = np.ascontiguousarray(((tp - txa) / steps.T[:, :, None]).transpose(1, 2, 0))
         jtj = np.einsum("sri,srj->sij", jac, jac) + damping
         grad = np.einsum("sri,sr->si", jac, res)
         direction = -np.linalg.solve(jtj, grad[..., None])[..., 0]
 
         # whole backtracking ladder in one batched evaluation per iteration
-        trials = np.clip(x[None, :, :] + _LS_ALPHAS[:, None, None] * direction[None, :, :],
+        trials = np.clip(xa[None, :, :] + _LS_ALPHAS[:, None, None] * direction[None, :, :],
                          lo, hi)
-        res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), n_s, -1) - z
+        res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), n_s, -1) - za
         f_t = (res_t * res_t).sum(axis=2)
         improving = f_t < f0[None, :]
-        has_step = improving.any(axis=0) & ~conv
+        has_step = improving.any(axis=0)
         first = np.argmax(improving, axis=0)
-        x_next = np.where(has_step[:, None], trials[first, rows], x)
-        tx_next = np.where(has_step[:, None], res_t[first, rows] + z, tx)
-        stalled = ~has_step & ~conv
-        move = np.abs(x_next - x).max(axis=1)
-        x, tx = x_next, tx_next
-        resid = np.abs(tx - z).max(axis=1)
-        conv |= stalled | (resid <= cfg.tol) | (move <= 1e-15 * (1.0 + np.abs(x).max(axis=1)))
+        rows = np.arange(n_s)
+        x_next = np.where(has_step[:, None], trials[first, rows], xa)
+        tx_next = np.where(has_step[:, None], res_t[first, rows] + za, txa)
+        move = np.abs(x_next - xa).max(axis=1)
+        x[act], tx[act] = x_next, tx_next
+        resid = np.abs(tx_next - za).max(axis=1)
+        done = (~has_step | (resid <= cfg.tol)
+                | (move <= 1e-15 * (1.0 + np.abs(x_next).max(axis=1))))
+        act = act[~done]
     resid = np.max(np.abs(tx - z), axis=1)
     return x, resid
 

@@ -191,8 +191,41 @@ def test_cli_violation_exit_2(monkeypatch, capsys):
                    "disturbance": False, "violations": 3, "first_violation_k": 2,
                    "mean_width_x_window": 1.0, "window": (0, 5), "decay_rate_z": 0.4,
                    "final_width_x": 1.0, "final_width_z": 1.0,
-                   "margin_coefficient": 1.0, "gamma_star_raw": 1e-6, "max_resid": 0.0}
+                   "margin_coefficient": 1.0, "gamma_star_raw": 1e-6, "max_resid": 0.0,
+                   "left_box_at": None}
 
     monkeypatch.setattr(cli_mod, "run_experiment", lambda cfg: FakeResult())
     assert main(["run", "--steps", "5"]) == 2
     assert "first at k=2" in capsys.readouterr().err
+
+
+def test_summarize_counts_nan_bound_as_violation(short_noisy):
+    from dataclasses import replace
+
+    from kklio.harness import _summarize
+    from kklio.presets import build_oscillator
+    res, _ = short_noisy
+    bundle = build_oscillator(gamma=1.0)
+    assert _summarize(res.config, res.rows, bundle, None)["violations"] == 0
+    rows = list(res.rows)
+    rows[7] = replace(rows[7], x_hi=np.array([np.nan, rows[7].x_hi[1]]))
+    s = _summarize(res.config, rows, bundle, None)
+    assert s["violations"] == 1 and s["first_violation_k"] == 7
+
+
+def test_left_box_surfaced_with_exit_4(monkeypatch, tmp_path, capsys):
+    from dataclasses import replace
+
+    import kklio.harness as harness
+    out_ok, out_left = tmp_path / "ok.csv", tmp_path / "left.csv"
+    assert main(["run", "--steps", "8", "--out", str(out_ok)]) == 0
+    real = harness.simulate_plant
+    monkeypatch.setattr(harness, "simulate_plant",
+                        lambda *a, **kw: replace(real(*a, **kw), left_box_at=3))
+    res = run_experiment(RunConfig(steps=8, window=(0, 8)))
+    assert res.summary["left_box_at"] == 3 and res.summary["violations"] == 0
+    capsys.readouterr()
+    assert main(["run", "--steps", "8", "--out", str(out_left)]) == 4
+    assert "left the enlarged box at k=3" in capsys.readouterr().err
+    assert out_left.read_bytes() == out_ok.read_bytes()
+    assert main(["compare", "--gammas", "1.0", "--steps", "8"]) == 4

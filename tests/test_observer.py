@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,7 @@ def test_series_mode_observer_end_to_end(osc):
     w, w_lo, w_hi = siE_noise()
     trace = simulate_plant(osc.plant, np.array([1.0, 0.0]), 12, w=w)
     state = init_observer(cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
+    digest = hashlib.sha256()
     for k in range(12):
         state = step(state, cfg, trace.ys[k], w_lo(k), w_hi(k))
         state = recover_x_bounds(state, cfg)
@@ -201,6 +204,12 @@ def test_series_mode_observer_end_to_end(osc):
         assert np.all(x >= state.x_lo - 1e-9) and np.all(x <= state.x_hi + 1e-9)
         z = eval_T(t_series, x)
         assert np.all(z >= state.z_lo - 1e-9) and np.all(z <= state.z_hi + 1e-9)
+        digest.update(np.concatenate([state.x_lo, state.x_hi,
+                                      [state.resid_hi, state.resid_lo]]).tobytes())
+    # byte pin of the recovered series-mode states (numpy 2.4.6; the same
+    # with one and two BLAS threads)
+    assert digest.hexdigest() == (
+        "f94c44b4c9b9eb5bad954c5fbad9ea61a06b7210190aab5b3e861566ee553dd2")
 
 
 def test_mixed_monotone_linear_decomposition():

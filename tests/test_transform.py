@@ -305,6 +305,53 @@ def test_invert_stack_rejects_bad_shapes(osc):
         invert_T(osc.transform, np.stack([z, z]), cfg.with_warm_start(np.zeros((3, 2))))
 
 
+def _mixed_targets(t):
+    # most rows for a reachable target converge within a few iterations and
+    # leave the batch; rows for an unreachable one iterate several times longer
+    z_near = eval_T(t, np.array([0.4, 0.2]))
+    z_far = eval_T(t, np.array([1.0, 0.5])) + 50.0
+    starts = np.random.default_rng(12).uniform(-1.0, 1.0, (10, 2))
+    return np.stack([z_near if s % 3 else z_far for s in range(10)]), starts
+
+
+@pytest.mark.parametrize("mode", ["polynomial", "series"])
+def test_gauss_newton_rows_independent_of_batch(osc, osc_series, mode):
+    # each start is compared with a batch of itself and a copy: a lone
+    # polynomial point goes through a one-row matmul, which numpy hands to
+    # BLAS gemv, and that rounds differently from the batched product
+    from kklio.transform import _gauss_newton
+    t = osc.transform if mode == "polynomial" else osc_series
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    z, starts = _mixed_targets(t)
+    xs, rs = _gauss_newton(t, z, starts, cfg)
+    assert rs[0] > 1.0 and rs[2] <= 1e-8
+    for s in range(10):
+        x, r = _gauss_newton(t, z[[s, s]], starts[[s, s]], cfg)
+        for j in range(2):
+            assert np.array_equal(xs[s], x[j]) and rs[s] == r[j]
+
+
+def test_gauss_newton_skips_converged_rows(osc, monkeypatch):
+    import kklio.transform as transform
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    z, starts = _mixed_targets(osc.transform)
+    counts = []
+
+    def counting_eval_T(t, x):
+        counts.append(len(x))
+        return eval_T(t, x)
+
+    monkeypatch.setattr(transform, "eval_T", counting_eval_T)
+    transform._gauss_newton(osc.transform, z, starts, cfg)
+    # calls: the starts, then (Jacobian probes, ladder) per iteration
+    probes, ladder = counts[1::2], counts[2::2]
+    assert len(probes) == len(ladder) > 10
+    assert probes[0] == 2 * 10 and ladder[0] == 14 * 10
+    assert all(b <= a for a, b in zip(probes, probes[1:]))
+    assert probes[-1] == 2 and ladder[-1] == 14
+    assert all(2 * q == 14 * p for p, q in zip(probes, ladder))
+
+
 def test_best_start_matches_sorted_keys():
     from kklio.transform import _best_start
     rng = np.random.default_rng(4)
