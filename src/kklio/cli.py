@@ -27,10 +27,7 @@ EXIT_CONFIG = 3
 EXIT_LEFT_BOX = 4
 
 _RUN_FIELDS = ("preset", "tau", "gamma", "steps", "seed", "noise", "disturbance",
-               "variant", "x0", "x0_halfwidth", "window", "out", "svg", "coeffs",
-               "gammas")
-_VARIANTS = {"minmax": "min_max", "min_max": "min_max", "plus": "plus_only",
-             "minus": "minus_only", "swapped": "swapped"}
+               "x0", "x0_halfwidth", "window", "out", "svg", "coeffs", "gammas")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -40,8 +37,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="seed for constant estimation")
     p.add_argument("--noise", choices=("on", "off"), default=None)
     p.add_argument("--disturbance", choices=("on", "off"), default=None)
-    p.add_argument("--variant", default=None,
-                   help="bound recovery variant: minmax|plus|minus|swapped")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--coeffs", default=None, help="coefficient table to load instead of solving")
     p.add_argument("--config", default=None, help="JSON file with defaults (CLI flags win)")
@@ -95,11 +90,6 @@ def _run_config(merged: dict) -> RunConfig:
         if key in merged and merged[key] is not None:
             v = merged[key]
             kwargs[key] = v if isinstance(v, bool) else v == "on"
-    if merged.get("variant"):
-        variant = _VARIANTS.get(merged["variant"])
-        if variant is None:
-            raise ValueError(f"unknown variant {merged['variant']!r}")
-        kwargs["recovery_variant"] = variant
     if "x0" in kwargs:
         kwargs["x0"] = tuple(kwargs["x0"])
     if "window" in kwargs:

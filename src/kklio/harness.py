@@ -37,12 +37,10 @@ class RunConfig:
     preset: str = presets.OSCILLATOR
     tau: float = presets.DEFAULT_TAU
     gamma: float = 1.0
-    lambdas: tuple = presets.DEFAULT_LAMBDAS
     steps: int = 500
     seed: int = presets.ESTIMATION_SEED
     noise: bool = True
     disturbance: bool = False
-    recovery_variant: str = "min_max"
     x0: tuple = presets.DEFAULT_X0
     x0_halfwidth: float = presets.DEFAULT_X0_HALFWIDTH
     window: tuple = (100, 500)
@@ -90,9 +88,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     x0_box_lo = x0 - cfg.x0_halfwidth
     x0_box_hi = x0 + cfg.x0_halfwidth
     bundle = presets.build_preset(
-        cfg.preset, gamma=cfg.gamma, tau=cfg.tau, lambdas=tuple(cfg.lambdas),
-        seed=cfg.seed, x0_box=Box(x0_box_lo, x0_box_hi),
-        recovery_variant=cfg.recovery_variant, coeffs=coeffs,
+        cfg.preset, gamma=cfg.gamma, tau=cfg.tau, seed=cfg.seed,
+        x0_box=Box(x0_box_lo, x0_box_hi), coeffs=coeffs,
     )
     plant = bundle.plant
     if not plant.box_x0.contains(x0):

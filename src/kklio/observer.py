@@ -9,10 +9,12 @@ matrix ``Lambda = R_{k+1} A inv(R_k)`` is constant, nonnegative and Schur:
 (with ``R = R_{k+1}`` and the superscripts denoting the nonnegative sign
 split). Known disturbance bounds on the state equation widen both framed
 bounds by their transform-Lipschitz image mapped through the frame split.
-Unframed bounds follow from the split of the inverse frame, and state-space
+Unframed bounds follow from the split of the inverse frame. State-space
 bounds are recovered by numerically inverting the transform at both bound
-vectors and padding with the inverse-Lipschitz margin
-``c / gamma**(m_bar-1) * max_j (z+_j - z-_j)``.
+vectors, ``u = T*(z+)`` and ``v = T*(z-)``: each inverse lies within the
+inverse-Lipschitz margin ``c / gamma**(m_bar-1) * max_j (z+_j - z-_j)`` of
+every state whose image lies in the bounds, so the state lies in the
+intersection of the two boxes, ``[max(u, v) - margin, min(u, v) + margin]``.
 
 States are immutable values; ``step`` and the recovery operations return new
 states, so independent observers can run concurrently.
@@ -20,43 +22,47 @@ states, so independent observers can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coords import CoordChangeSeq
-from .intervals import inf_norm, split_neg, split_pos
+from .intervals import inf_norm, interval_image
 from .plant import SystemConstants
 from .transform import InverseConfig, KklTransform, eval_T, invert_T
-
-_VARIANTS = ("min_max", "plus_only", "minus_only", "swapped")
 
 
 @dataclass(frozen=True, eq=False)
 class ObserverConfig:
+    """Everything the recursion needs; the recovery margin is derived.
+
+    ``margin_c_over_gamma`` is ``c / gamma**(m_bar-1)``, the inverse-Lipschitz
+    coefficient of the transform. ``gamma`` must be the transform's own gain,
+    since a larger one would shrink that margin below what is guaranteed.
+    ``recovery_variant`` accepts only ``"min_max"`` (the intersection rule);
+    the keyword remains because the benchmark worker (``perfbench/worker.py``)
+    passes it.
+    """
+
     transform: KklTransform
     coord: CoordChangeSeq
     consts: SystemConstants
     gamma: float
     inverse_cfg: InverseConfig
-    margin_c_over_gamma: Optional[float] = None
     recovery_variant: str = "min_max"
+    margin_c_over_gamma: float = field(init=False)
 
     def __post_init__(self):
-        if self.recovery_variant not in _VARIANTS:
-            raise ValueError(f"recovery_variant must be one of {_VARIANTS}")
-        if self.margin_c_over_gamma is None:
-            if self.consts.c is None:
-                raise ValueError("constants must provide c when no margin is given")
-            object.__setattr__(
-                self, "margin_c_over_gamma",
-                self.consts.c / self.gamma ** (self.consts.m_bar - 1),
-            )
-        if not self.margin_c_over_gamma > 0.0:
-            raise ValueError("recovery margin must be positive")
-        if self.consts.c_L is None:
-            raise ValueError("constants must provide c_L")
+        if self.recovery_variant != "min_max":
+            raise ValueError(f"recovery_variant must be 'min_max', got {self.recovery_variant!r}")
+        if self.gamma != self.transform.target.gamma:
+            raise ValueError(f"gamma={self.gamma} does not match the transform's "
+                             f"gamma={self.transform.target.gamma}")
+        if self.consts.c_L is None or self.consts.c_I is None:
+            raise ValueError("constants must provide c_L and c_I")
+        object.__setattr__(self, "margin_c_over_gamma",
+                           self.consts.c / self.gamma ** (self.consts.m_bar - 1))
         a = self.transform.target.A
         for k in range(3):
             defect = np.max(np.abs(self.coord.R(k + 1) @ a @ self.coord.S(k) - self.coord.Lambda))
@@ -92,10 +98,11 @@ def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
     Both transform images of the box corners, padded by the forward
     Lipschitz bound times the largest initial spread, bracket the transform
     of every point of the box; the frame split carries that bracket into
-    framed coordinates.
+    framed coordinates. Raises ``ValueError`` on non-finite or unordered
+    corners.
     """
-    x0_lo = np.asarray(x0_lo, dtype=float)
-    x0_hi = np.asarray(x0_hi, dtype=float)
+    x0_lo = _finite("x0_lo", x0_lo)
+    x0_hi = _finite("x0_hi", x0_hi)
     if np.any(x0_lo > x0_hi):
         raise ValueError("initial bounds are not ordered: x0_lo > x0_hi somewhere")
     t_hi = eval_T(cfg.transform, x0_hi)
@@ -103,9 +110,7 @@ def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
     pad = cfg.consts.c_L * float(np.max(x0_hi - x0_lo))
     z_hi = np.minimum(t_hi, t_lo) + pad
     z_lo = np.maximum(t_hi, t_lo) - pad
-    r0 = cfg.coord.R(0)
-    zhat_hi = split_pos(r0) @ z_hi - split_neg(r0) @ z_lo
-    zhat_lo = split_pos(r0) @ z_lo - split_neg(r0) @ z_hi
+    zhat_lo, zhat_hi = interval_image(cfg.coord.R(0), z_lo, z_hi)
     return ObserverState(k=0, zhat_hi=zhat_hi, zhat_lo=zhat_lo,
                          z_hi=z_hi, z_lo=z_lo,
                          x_hi=x0_hi.copy(), x_lo=x0_lo.copy())
@@ -125,11 +130,10 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     lam = cfg.coord.Lambda
     r_next = cfg.coord.R(state.k + 1)
     rb = r_next @ cfg.transform.target.B
-    rb_pos = split_pos(rb)
-    rb_neg = split_neg(rb)
     drive = rb @ y_k
-    zhat_hi = lam @ state.zhat_hi + drive + rb_neg @ w_hi - rb_pos @ w_lo
-    zhat_lo = lam @ state.zhat_lo + drive + rb_neg @ w_lo - rb_pos @ w_hi
+    n_lo, n_hi = interval_image(rb, w_lo, w_hi)
+    zhat_hi = lam @ state.zhat_hi + drive - n_lo
+    zhat_lo = lam @ state.zhat_lo + drive - n_hi
 
     if d_lo is not None or d_hi is not None:
         d_lo = np.zeros(cfg.transform.plant.n_x) if d_lo is None else _finite("d_lo", d_lo)
@@ -143,11 +147,7 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
             zhat_hi = zhat_hi + widen
             zhat_lo = zhat_lo - widen
 
-    s_next = cfg.coord.S(state.k + 1)
-    s_pos = split_pos(s_next)
-    s_neg = split_neg(s_next)
-    z_hi = s_pos @ zhat_hi - s_neg @ zhat_lo
-    z_lo = s_pos @ zhat_lo - s_neg @ zhat_hi
+    z_lo, z_hi = interval_image(cfg.coord.S(state.k + 1), zhat_lo, zhat_hi)
     return ObserverState(k=state.k + 1, zhat_hi=zhat_hi, zhat_lo=zhat_lo,
                          z_hi=z_hi, z_lo=z_lo,
                          inv_hi=state.inv_hi, inv_lo=state.inv_lo)
@@ -166,8 +166,9 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
 
     At ``k = 0`` the bounds are the initial box and the state is returned
     unchanged. Otherwise both bound vectors are inverted numerically in one
-    stacked call (each warm started from its previous recovery) and combined
-    per the configured variant with the inverse-Lipschitz margin.
+    stacked call (each warm started from its previous recovery); the state
+    bounds are the intersection of the two inverse-Lipschitz boxes around
+    the inverses.
     """
     if state.k == 0:
         return state
@@ -178,18 +179,8 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
                               cfg.inverse_cfg.with_warm_start(warm))
     resid_hi, resid_lo = float(resids[0]), float(resids[1])
     margin = cfg.margin_c_over_gamma * float(np.max(state.z_hi - state.z_lo))
-    if cfg.recovery_variant == "min_max":
-        x_hi = np.minimum(u, v) + margin
-        x_lo = np.maximum(u, v) - margin
-    elif cfg.recovery_variant == "plus_only":
-        x_hi = u + margin
-        x_lo = u - margin
-    elif cfg.recovery_variant == "minus_only":
-        x_hi = v + margin
-        x_lo = v - margin
-    else:  # swapped
-        x_hi = np.maximum(u, v) + margin
-        x_lo = np.minimum(u, v) - margin
+    x_hi = np.minimum(u, v) + margin
+    x_lo = np.maximum(u, v) - margin
     return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
                    resid_hi=resid_hi, resid_lo=resid_lo)
 

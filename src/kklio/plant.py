@@ -61,8 +61,9 @@ class SystemConstants:
     output map; ``c_o`` is the injectivity modulus of the backward
     distinguishability map at orders ``m``; ``c_c`` bounds the inverse
     controllability matrices of the target blocks from below; ``c_N`` is the
-    norm-equivalence factor (1 for the max norm). ``c_L``, ``c_I`` and ``c``
-    describe the transform itself and are filled in once it is built.
+    norm-equivalence factor (1 for the max norm). ``c_L`` and ``c_I``
+    describe the transform itself and are filled in once it is built; ``c``
+    follows from them.
     """
 
     c_f: float
@@ -73,14 +74,13 @@ class SystemConstants:
     c_N: float = 1.0
     c_L: Optional[float] = None
     c_I: Optional[float] = None
-    c: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(int(mi) for mi in self.m))
         for name in ("c_f", "c_h", "c_o", "c_c", "c_N"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        for name in ("c_L", "c_I", "c"):
+        for name in ("c_L", "c_I"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive when set")
@@ -91,8 +91,13 @@ class SystemConstants:
     def m_bar(self) -> int:
         return max(self.m)
 
-    def with_transform_constants(self, c_L: float, c_I: float, c: float) -> "SystemConstants":
-        return replace(self, c_L=c_L, c_I=c_I, c=c)
+    @property
+    def c(self) -> Optional[float]:
+        """Inverse-Lipschitz constant of the transform, ``1 / c_I``."""
+        return None if self.c_I is None else 1.0 / self.c_I
+
+    def with_transform_constants(self, c_L: float, c_I: float) -> "SystemConstants":
+        return replace(self, c_L=c_L, c_I=c_I)
 
 
 @dataclass(frozen=True)

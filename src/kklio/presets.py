@@ -143,17 +143,15 @@ class Bundle:
 
 
 def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
-                     lambdas: tuple = DEFAULT_LAMBDAS, seed: int = ESTIMATION_SEED,
-                     x0_box: Optional[Box] = None, recovery_variant: str = "min_max",
-                     coeffs: Optional[np.ndarray] = None,
-                     inverse_tol: float = 1e-10) -> Bundle:
+                     seed: int = ESTIMATION_SEED, x0_box: Optional[Box] = None,
+                     coeffs: Optional[np.ndarray] = None) -> Bundle:
     """Assemble the demo plant, transform, frames, constants and observer."""
     plant = make_oscillator_plant(tau, x0_box)
-    lambdas = tuple(float(l) for l in lambdas)
-    orders = (len(lambdas),)
-    target = TargetSystem(blocks=((np.diag(lambdas), np.ones(len(lambdas))),), gamma=gamma)
+    orders = (len(DEFAULT_LAMBDAS),)
+    target = TargetSystem(blocks=((np.diag(DEFAULT_LAMBDAS), np.ones(len(DEFAULT_LAMBDAS))),),
+                          gamma=gamma)
     transform = make_polynomial_transform(plant, target, POLY_BASIS, coeffs=coeffs)
-    coord = build_coord_change([CanonicalBlock.positive_real(l) for l in lambdas], gamma)
+    coord = build_coord_change([CanonicalBlock.positive_real(l) for l in DEFAULT_LAMBDAS], gamma)
 
     c_f, c_h = estimate_lipschitz(plant, samples=LIPSCHITZ_SAMPLES, seed=seed)
     c_o = estimate_c_o(plant, orders, samples=C_O_SAMPLES, seed=seed + 2)
@@ -162,12 +160,11 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
 
     c_L = estimate_forward_lipschitz(transform, samples=TRANSFORM_SAMPLES, seed=seed + 3)
     c_I = estimate_injectivity(transform, samples=TRANSFORM_SAMPLES, seed=seed + 4)
-    consts = consts.with_transform_constants(c_L=c_L, c_I=c_I, c=1.0 / c_I)
+    consts = consts.with_transform_constants(c_L=c_L, c_I=c_I)
 
-    inverse_cfg = InverseConfig(box=plant.box_x_enlarged, tol=inverse_tol)
     observer_cfg = ObserverConfig(transform=transform, coord=coord, consts=consts,
-                                  gamma=gamma, inverse_cfg=inverse_cfg,
-                                  recovery_variant=recovery_variant)
+                                  gamma=gamma,
+                                  inverse_cfg=InverseConfig(box=plant.box_x_enlarged))
     return Bundle(name=OSCILLATOR, plant=plant, target=target, transform=transform,
                   coord=coord, consts=consts, observer_cfg=observer_cfg,
                   gamma_star_raw=gs_raw)

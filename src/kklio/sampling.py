@@ -24,13 +24,11 @@ _PROBE_SCALE = 1e-4
 _MAX_PATTERNS = 64
 
 
-def sign_patterns(dim: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """All sign vectors in ``{-1,+1}^dim`` (a random subset beyond 64)."""
+def sign_patterns(dim: int) -> np.ndarray:
+    """All sign vectors in ``{-1,+1}^dim`` (a fixed random subset beyond 64)."""
     if 2**dim <= _MAX_PATTERNS:
         return np.array(list(product((-1.0, 1.0), repeat=dim)))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return rng.choice((-1.0, 1.0), size=(_MAX_PATTERNS, dim))
+    return np.random.default_rng(0).choice((-1.0, 1.0), size=(_MAX_PATTERNS, dim))
 
 
 def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = False) -> float:

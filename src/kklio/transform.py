@@ -229,9 +229,6 @@ class KklTransform:
             object.__setattr__(self, "series_n",
                                _series_length(self.target, self.plant, self.series_tol))
 
-    def __call__(self, x) -> np.ndarray:
-        return eval_T(self, x)
-
     @property
     def n_z(self) -> int:
         return self.target.n_z

@@ -12,8 +12,8 @@ import pytest
 
 from kklio import (CanonicalBlock, InverseConfig, assemble_target_matrix,
                    build_coord_change, eval_T, eval_T_poly, eval_T_series,
-                   init_observer, invert_T, make_series_transform, step,
-                   transform_residual)
+                   init_observer, interval_image, invert_T, make_series_transform,
+                   step, transform_residual)
 from kklio.harness import RunConfig, run_experiment, write_csv
 from kklio.presets import build_oscillator
 
@@ -190,10 +190,9 @@ def test_criterion_09_interval_image_suite(announce):
     a_lo = rng.uniform(-4, 0, size=(n, 4))
     a_hi = a_lo + rng.uniform(0, 4, size=(n, 4))
     a = a_lo + rng.uniform(0, 1, size=(n, 4)) * (a_hi - a_lo)
-    p = np.maximum(m, 0.0)
-    q = np.maximum(-m, 0.0)
-    lo = np.einsum("kij,kj->ki", p, a_lo) - np.einsum("kij,kj->ki", q, a_hi)
-    hi = np.einsum("kij,kj->ki", p, a_hi) - np.einsum("kij,kj->ki", q, a_lo)
+    lo, hi = np.empty((n, 4)), np.empty((n, 4))
+    for k in range(n):
+        lo[k], hi[k] = interval_image(m[k], a_lo[k], a_hi[k])
     ma = np.einsum("kij,kj->ki", m, a)
     ok = bool(np.all(lo <= ma) and np.all(ma <= hi))
     dt = time.perf_counter() - t0

@@ -178,9 +178,12 @@ def test_cli_config_unknown_key_exit_3(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 3
 
 
-def test_cli_variant_flag():
-    assert main(["run", "--steps", "5", "--noise", "off", "--variant", "swapped"]) == 0
-    assert main(["run", "--steps", "5", "--noise", "off", "--variant", "sideways"]) == 3
+def test_cli_config_variant_key_exit_3(tmp_path, capsys):
+    # recovery has one rule, so a config naming a variant is an unknown key
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": 5, "variant": "minmax"}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "variant" in capsys.readouterr().err
 
 
 def test_cli_violation_exit_2(monkeypatch, capsys):

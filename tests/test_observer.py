@@ -62,8 +62,31 @@ def test_init_width_identity(osc):
 
 
 def test_init_rejects_unordered(osc):
-    with pytest.raises(ValueError):
-        init_observer(osc.observer_cfg, [1.0, 0.0], [0.0, 1.0])
+    # a NaN corner compares false, so only the finiteness check stops it
+    for lo, hi in (([1.0, 0.0], [0.0, 1.0]), ([np.nan, 0.0], [1.0, 1.0]),
+                   ([0.0, 0.0], [1.0, np.nan])):
+        with pytest.raises(ValueError):
+            init_observer(osc.observer_cfg, lo, hi)
+
+
+def test_observer_config_derives_margin_and_checks_gamma(osc):
+    from dataclasses import replace
+
+    from kklio import ObserverConfig
+    cfg = osc.observer_cfg
+    kw = dict(transform=cfg.transform, coord=cfg.coord, consts=cfg.consts,
+              gamma=cfg.gamma, inverse_cfg=cfg.inverse_cfg)
+    assert ObserverConfig(**kw).margin_c_over_gamma == cfg.margin_c_over_gamma
+    assert cfg.consts.c == 1.0 / cfg.consts.c_I
+    with pytest.raises(TypeError):
+        replace(cfg.consts, c=1.0)
+    # a larger gain than the transform's would shrink the guaranteed margin
+    with pytest.raises(ValueError, match="gamma"):
+        ObserverConfig(**dict(kw, gamma=1.5 * cfg.gamma))
+    with pytest.raises(ValueError, match="min_max"):
+        ObserverConfig(**kw, recovery_variant="swapped")
+    with pytest.raises(TypeError):
+        ObserverConfig(**kw, margin_c_over_gamma=1.0)
 
 
 def test_step_rejects_unordered_noise(osc):
@@ -166,13 +189,36 @@ def test_zero_width_recovery_hits_state(osc):
     assert np.max(np.abs(state.x_lo - x_bar)) <= 1e-4
 
 
+@pytest.fixture(scope="module")
+def noisy_run(osc):
+    return run_observer(osc, steps=120, noise=True)
+
+
+_ABLATIONS = {
+    "min_max": lambda u, v, m: (np.maximum(u, v) - m, np.minimum(u, v) + m),
+    "plus_only": lambda u, v, m: (u - m, u + m),
+    "minus_only": lambda u, v, m: (v - m, v + m),
+    "swapped": lambda u, v, m: (np.minimum(u, v) - m, np.maximum(u, v) + m),
+}
+
+
 @pytest.mark.parametrize("variant", ["min_max", "plus_only", "minus_only", "swapped"])
-def test_recovery_variants_enclose(variant):
-    bundle = build_oscillator(gamma=1.0, recovery_variant=variant)
-    trace, states = run_observer(bundle, steps=120, noise=True)
+def test_recovery_variants_enclose(osc, noisy_run, variant):
+    # recovery returns the intersection box (min_max); the box around one
+    # inverse alone (u or v) and the hull of both are each valid too, and
+    # each contains the returned box, so only the intersection is computed
+    trace, states = noisy_run
+    coeff = osc.observer_cfg.margin_c_over_gamma
     for k, s in enumerate(states):
-        assert np.all(trace.xs[k] >= s.x_lo - 1e-9)
-        assert np.all(trace.xs[k] <= s.x_hi + 1e-9)
+        lo, hi = s.x_lo, s.x_hi
+        if k > 0:
+            margin = coeff * float(np.max(s.z_hi - s.z_lo))
+            lo, hi = _ABLATIONS[variant](s.inv_hi, s.inv_lo, margin)
+            assert np.all(lo <= s.x_lo) and np.all(s.x_hi <= hi)
+            if variant == "min_max":
+                assert np.array_equal(lo, s.x_lo) and np.array_equal(hi, s.x_hi)
+        assert np.all(trace.xs[k] >= lo - 1e-9) and np.all(trace.xs[k] <= hi + 1e-9)
+        assert np.all(trace.xs[k] >= s.x_lo - 1e-9) and np.all(trace.xs[k] <= s.x_hi + 1e-9)
 
 
 def test_width_bound_along_run(osc):
@@ -191,8 +237,7 @@ def test_series_mode_observer_end_to_end(osc):
     t_series = make_series_transform(osc.plant, osc.target, series_tol=1e-9)
     cfg = ObserverConfig(transform=t_series, coord=osc.coord, consts=osc.consts,
                          gamma=osc.target.gamma,
-                         inverse_cfg=InverseConfig(box=osc.plant.box_x_enlarged),
-                         recovery_variant="min_max")
+                         inverse_cfg=InverseConfig(box=osc.plant.box_x_enlarged))
     w, w_lo, w_hi = siE_noise()
     trace = simulate_plant(osc.plant, np.array([1.0, 0.0]), 12, w=w)
     state = init_observer(cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
