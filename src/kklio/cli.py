@@ -164,12 +164,12 @@ def _report_left_box(s: dict) -> None:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     bundle = presets.build_preset(args.preset, gamma=args.gamma, tau=args.tau, seed=args.seed)
-    c = bundle.consts
+    c, gs_raw = presets.closed_form_constants(bundle, seed=args.seed)
     print(f"preset={bundle.name} gamma={args.gamma:g} tau={args.tau:g} seed={args.seed}")
     print(f"orders m={c.m} (m_bar={c.m_bar})  n_z={bundle.target.n_z}")
     print(f"c_f={c.c_f:.12g}\nc_h={c.c_h:.12g}\nc_o={c.c_o:.12g}\nc_c={c.c_c:.12g}")
     print(f"c_N={c.c_N:g}")
-    print(f"gamma_star (closed form, uncapped) = {bundle.gamma_star_raw:.12g}")
+    print(f"gamma_star (closed form, uncapped) = {gs_raw:.12g}")
     print(f"c_L={c.c_L:.12g}  (sampled transform Lipschitz bound)")
     print(f"c_I={c.c_I:.12g}  (sampled injectivity margin)")
     print(f"c={c.c:.12g}  recovery margin c/gamma^(m_bar-1)="

@@ -185,7 +185,6 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int]) -> dict
         "final_width_x": rows[-1].width_x,
         "final_width_z": rows[-1].width_z,
         "margin_coefficient": margin_coeff,
-        "gamma_star_raw": bundle.gamma_star_raw,
         "max_resid": max(max(r.resid_hi, r.resid_lo) for r in rows),
         "left_box_at": left_box_at,
     }

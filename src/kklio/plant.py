@@ -58,17 +58,18 @@ class SystemConstants:
     """Regularity constants of a plant/transform pair.
 
     ``c_f`` and ``c_h`` bound the increments of the inverse dynamics and the
-    output map; ``c_o`` is the injectivity modulus of the backward
-    distinguishability map at orders ``m``; ``c_c`` bounds the inverse
-    controllability matrices of the target blocks from below; ``c_N`` is the
-    norm-equivalence factor (1 for the max norm). ``c_L`` and ``c_I``
-    describe the transform itself and are filled in once it is built; ``c``
-    follows from them.
+    output map; ``c_c`` bounds the inverse controllability matrices of the
+    target blocks from below; ``c_N`` is the norm-equivalence factor (1 for
+    the max norm). ``c_o``, the injectivity modulus of the backward
+    distinguishability map at orders ``m``, feeds only the closed-form
+    constants and is ``None`` until estimated. ``c_L`` and ``c_I`` describe
+    the transform itself and are filled in once it is built; ``c`` follows
+    from them.
     """
 
     c_f: float
     c_h: float
-    c_o: float
+    c_o: Optional[float]
     c_c: float
     m: tuple[int, ...]
     c_N: float = 1.0
@@ -77,10 +78,10 @@ class SystemConstants:
 
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(int(mi) for mi in self.m))
-        for name in ("c_f", "c_h", "c_o", "c_c", "c_N"):
+        for name in ("c_f", "c_h", "c_c", "c_N"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        for name in ("c_L", "c_I"):
+        for name in ("c_o", "c_L", "c_I"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive when set")

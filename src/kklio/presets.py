@@ -23,7 +23,7 @@ each gain gets its own honestly sampled margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -139,24 +139,24 @@ class Bundle:
     coord: CoordChangeSeq
     consts: SystemConstants
     observer_cfg: ObserverConfig
-    gamma_star_raw: float
 
 
 def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
                      seed: int = ESTIMATION_SEED, x0_box: Optional[Box] = None,
                      coeffs: Optional[np.ndarray] = None) -> Bundle:
-    """Assemble the demo plant, transform, frames, constants and observer."""
+    """Assemble the demo plant, transform, frames, constants and observer.
+
+    The bundle's ``consts.c_o`` is ``None``: only the closed-form constants
+    use it, and ``closed_form_constants`` estimates it on demand.
+    """
     plant = make_oscillator_plant(tau, x0_box)
-    orders = (len(DEFAULT_LAMBDAS),)
     target = TargetSystem(blocks=((np.diag(DEFAULT_LAMBDAS), np.ones(len(DEFAULT_LAMBDAS))),),
                           gamma=gamma)
     transform = make_polynomial_transform(plant, target, POLY_BASIS, coeffs=coeffs)
     coord = build_coord_change([CanonicalBlock.positive_real(l) for l in DEFAULT_LAMBDAS], gamma)
 
     c_f, c_h = estimate_lipschitz(plant, samples=LIPSCHITZ_SAMPLES, seed=seed)
-    c_o = estimate_c_o(plant, orders, samples=C_O_SAMPLES, seed=seed + 2)
-    consts = SystemConstants(c_f=c_f, c_h=c_h, c_o=c_o, c_c=target.c_c(), m=orders)
-    gs_raw = gamma_star(consts, target, cap=False)
+    consts = SystemConstants(c_f=c_f, c_h=c_h, c_o=None, c_c=target.c_c(), m=target.m)
 
     c_L = estimate_forward_lipschitz(transform, samples=TRANSFORM_SAMPLES, seed=seed + 3)
     c_I = estimate_injectivity(transform, samples=TRANSFORM_SAMPLES, seed=seed + 4)
@@ -166,8 +166,19 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
                                   gamma=gamma,
                                   inverse_cfg=InverseConfig(box=plant.box_x_enlarged))
     return Bundle(name=OSCILLATOR, plant=plant, target=target, transform=transform,
-                  coord=coord, consts=consts, observer_cfg=observer_cfg,
-                  gamma_star_raw=gs_raw)
+                  coord=coord, consts=consts, observer_cfg=observer_cfg)
+
+
+def closed_form_constants(bundle: Bundle,
+                          seed: int = ESTIMATION_SEED) -> tuple[SystemConstants, float]:
+    """The bundle's constants with ``c_o`` estimated, and the uncapped ``gamma_star``.
+
+    ``seed`` is the estimation seed the bundle was built with; ``c_o`` is
+    drawn from the same stream offset as it always was.
+    """
+    c_o = estimate_c_o(bundle.plant, bundle.target.m, samples=C_O_SAMPLES, seed=seed + 2)
+    consts = replace(bundle.consts, c_o=c_o)
+    return consts, gamma_star(consts, bundle.target, cap=False)
 
 
 def build_preset(name: str, **kwargs) -> Bundle:

@@ -64,15 +64,16 @@ def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = 
         pairs = g_global.uniform(box.lo, box.hi, size=(n_global, 2, box.dim))
         a, b = pairs[:, 0, :], pairs[:, 1, :]
         dx = np.max(np.abs(a - b), axis=-1)
-        df = _gap(fn, a, b)
+        df = _gap(_eval(fn, a), _eval(fn, b))
         mask = dx > 1e-300
         ratios.append(df[mask] / dx[mask])
         pair_pool.append((a[mask], b[mask], ratios[-1]))
 
     pts = box.sample(g_local, n_local)
+    f_pts = _eval(fn, pts)
     for s in patterns:
         probed = pts + delta * s
-        df = _gap(fn, probed, pts)
+        df = _gap(_eval(fn, probed), f_pts)
         ratios.append(df / delta)
         pair_pool.append((probed, pts, ratios[-1]))
 
@@ -88,13 +89,13 @@ _REFINE_ITERS = 60
 
 
 def _descend_ratio(fn, box: Box, pair_pool) -> float:
-    """Pattern-search descent of the pair-ratio field from the best candidates."""
-    a_all = np.concatenate([p[0] for p in pair_pool])
-    b_all = np.concatenate([p[1] for p in pair_pool])
-    r_all = np.concatenate([p[2] for p in pair_pool])
-    order = np.argsort(r_all, kind="stable")[:_REFINE_CANDIDATES]
-    a, b = a_all[order], b_all[order]
-    current = r_all[order]
+    """Pattern-search descent of the pair-ratio field from the best candidates.
+
+    ``fn`` values of the current pairs are kept alongside them, so each trial
+    evaluates only the side that moved.
+    """
+    a, b, current = _best_pairs(pair_pool, _REFINE_CANDIDATES)
+    fa, fb = _eval(fn, a), _eval(fn, b)
 
     dim = box.dim
     moves = np.concatenate([sign_patterns(dim), np.eye(dim), -np.eye(dim)])
@@ -104,14 +105,20 @@ def _descend_ratio(fn, box: Box, pair_pool) -> float:
         improved = np.zeros(n_c, dtype=bool)
         for move_a in (True, False):
             for mv in moves:
-                ta = box.clamp(a + step * mv) if move_a else a
-                tb = b if move_a else box.clamp(b + step * mv)
+                if move_a:
+                    ta, tb = box.clamp(a + step * mv), b
+                    fta, ftb = _eval(fn, ta), fb
+                else:
+                    ta, tb = a, box.clamp(b + step * mv)
+                    fta, ftb = fa, _eval(fn, tb)
                 dx = np.max(np.abs(ta - tb), axis=-1)
                 ok = dx > 1e-12
-                r = np.where(ok, _gap(fn, ta, tb) / np.where(ok, dx, 1.0), np.inf)
+                r = np.where(ok, _gap(fta, ftb) / np.where(ok, dx, 1.0), np.inf)
                 accept = r < current
                 a = np.where(accept[:, None], ta, a)
                 b = np.where(accept[:, None], tb, b)
+                fa = _where_rows(accept, fta, fa)
+                fb = _where_rows(accept, ftb, fb)
                 current = np.where(accept, r, current)
                 improved |= accept
         if not np.any(improved):
@@ -121,9 +128,46 @@ def _descend_ratio(fn, box: Box, pair_pool) -> float:
     return float(np.min(current))
 
 
-def _gap(fn, a, b):
-    fa = np.asarray(fn(a), dtype=float)
-    fb = np.asarray(fn(b), dtype=float)
+def _best_pairs(pair_pool, k: int):
+    """The ``k`` lowest-ratio pairs of the pool, ties in pool order.
+
+    Equal to a stable sort of the concatenated pool, but only each piece's
+    own best ``k`` are gathered: a pair among the best ``k`` overall is among
+    the best ``k`` of its piece, and the gathered candidates keep pool order.
+    """
+    picks = [(a, b, r, _smallest_k(r, k)) for a, b, r in pair_pool]
+    r = np.concatenate([r[i] for _, _, r, i in picks])
+    order = np.argsort(r, kind="stable")[:k]
+    a = np.concatenate([a[i] for a, _, _, i in picks])[order]
+    b = np.concatenate([b[i] for _, b, _, i in picks])[order]
+    return a, b, r[order]
+
+
+def _smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest values, equal to ``np.argsort(values, kind="stable")[:k]``.
+
+    A partition finds the k-th smallest value; only the values up to it are
+    stably sorted, so ties at the cut keep their index order. ``~(v > cut)``
+    also keeps NaNs (which sort last), so a NaN cut degrades to a full sort.
+    """
+    values = np.asarray(values)
+    if values.shape[0] <= k:
+        return np.argsort(values, kind="stable")
+    cut = values[np.argpartition(values, k - 1)[k - 1]]
+    candidates = np.flatnonzero(~(values > cut))
+    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
+
+
+def _where_rows(mask, new, old):
+    """Per-pair select of ``fn`` values, which may be 1-D (one value per point)."""
+    return np.where(mask if new.ndim == 1 else mask[:, None], new, old)
+
+
+def _eval(fn, x) -> np.ndarray:
+    return np.asarray(fn(x), dtype=float)
+
+
+def _gap(fa, fb):
     if fa.ndim == 1:
         return np.abs(fa - fb)
     return np.max(np.abs(fa - fb), axis=-1)

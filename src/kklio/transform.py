@@ -116,8 +116,11 @@ def gamma_star(consts: SystemConstants, target: TargetSystem, cap: bool = True) 
 
     Three-term minimum: series convergence, backward-chain contraction, and
     positivity of the injectivity margin. With ``cap=True`` the value is
-    clipped to 1, the design range of the gain.
+    clipped to 1, the design range of the gain. Needs ``consts.c_o``, which
+    ``estimate_c_o`` provides.
     """
+    if consts.c_o is None:
+        raise ValueError("c_o is not set: estimate it with estimate_c_o first")
     a_norms, b_norms = target.block_norms()
     a_max = float(np.max(a_norms))
     b_max = float(np.max(b_norms))
@@ -132,13 +135,13 @@ def gamma_star(consts: SystemConstants, target: TargetSystem, cap: bool = True) 
 
 
 def derived_constants(consts: SystemConstants, target: TargetSystem,
-                      gamma: float) -> tuple[float, float, float]:
-    """Closed-form ``(c_L, c_I, c)`` for a gain inside the certified range.
+                      gamma: float) -> tuple[float, float]:
+    """Closed-form ``(c_L, c_I)`` for a gain inside the certified range.
 
-    ``c_L`` bounds increments of the transform, ``c_I`` is its injectivity
-    margin (positive only below the uncapped ``gamma_star``), and
-    ``c = 1/c_I`` bounds increments of the left inverse after scaling by
-    ``gamma**(m_bar-1)``.
+    ``c_L`` bounds increments of the transform and ``c_I`` is its injectivity
+    margin (positive only below the uncapped ``gamma_star``); ``1/c_I``
+    bounds increments of the left inverse after scaling by
+    ``gamma**(m_bar-1)``. Needs ``consts.c_o``, like ``gamma_star``.
     """
     raw = gamma_star(consts, target, cap=False)
     if not 0.0 < gamma <= 1.0 or gamma >= raw:
@@ -155,7 +158,7 @@ def derived_constants(consts: SystemConstants, target: TargetSystem,
                         - b_max * consts.c_h * consts.c_f * gamma * tail / (1.0 - gamma * af))
     if c_I <= 0.0:
         raise ValueError("injectivity not guaranteed: margin is nonpositive")
-    return c_L, c_I, 1.0 / c_I
+    return c_L, c_I
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,13 @@ class InverseConfig:
     def __post_init__(self):
         if self.starts is not None and self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        # NaN compares false both ways, so finiteness is checked apart
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be positive and finite")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0.0):
+            raise ValueError("fd_step must be positive and finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.lattice_per_axis < 1:
             raise ValueError("lattice_per_axis must be >= 1")
 

@@ -194,7 +194,7 @@ def test_cli_violation_exit_2(monkeypatch, capsys):
                    "disturbance": False, "violations": 3, "first_violation_k": 2,
                    "mean_width_x_window": 1.0, "window": (0, 5), "decay_rate_z": 0.4,
                    "final_width_x": 1.0, "final_width_z": 1.0,
-                   "margin_coefficient": 1.0, "gamma_star_raw": 1e-6, "max_resid": 0.0,
+                   "margin_coefficient": 1.0, "max_resid": 0.0,
                    "left_box_at": None}
 
     monkeypatch.setattr(cli_mod, "run_experiment", lambda cfg: FakeResult())

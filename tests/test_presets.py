@@ -1,20 +1,53 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import kklio.presets
 from kklio import gamma_star
 from kklio.presets import (DEFAULT_X0, PINNED_PLANT_CONSTANTS, PINNED_TRANSFORM_CONSTANTS,
-                           build_oscillator, build_preset, make_oscillator_plant,
-                           siE_disturbance, siE_noise)
+                           build_oscillator, build_preset, closed_form_constants,
+                           make_oscillator_plant, siE_disturbance, siE_noise)
 
 
 def test_pinned_plant_constants_reproduce():
     b = build_oscillator(gamma=1.0)
+    consts, gs_raw = closed_form_constants(b)
     pins = PINNED_PLANT_CONSTANTS
     assert b.consts.c_f == pytest.approx(pins["c_f"], rel=1e-9)
     assert b.consts.c_h == pytest.approx(pins["c_h"], rel=1e-9)
-    assert b.consts.c_o == pytest.approx(pins["c_o"], rel=1e-9)
+    assert consts.c_o == pytest.approx(pins["c_o"], rel=1e-9)
     assert b.consts.c_c == pytest.approx(pins["c_c"], rel=1e-12)
-    assert b.gamma_star_raw == pytest.approx(pins["gamma_star_raw"], rel=1e-9)
+    assert gs_raw == pytest.approx(pins["gamma_star_raw"], rel=1e-9)
+
+
+def test_build_leaves_closed_form_constants_out(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build must not estimate closed-form constants")
+
+    monkeypatch.setattr(kklio.presets, "estimate_c_o", refuse)
+    monkeypatch.setattr(kklio.presets, "gamma_star", refuse)
+    b = build_oscillator(gamma=1.0)
+    assert b.consts.c_o is None
+    assert b.consts.c_I is not None and b.consts.c_L is not None
+
+
+def test_closed_form_constants_looks_up_module_estimator(monkeypatch):
+    # the benchmark tracer wraps kklio.presets.estimate_c_o, so the on-demand
+    # function must call it through the module attribute, with the old draw
+    b = build_oscillator(gamma=1.0, seed=5)
+    calls = []
+
+    def fake(plant, m, samples, seed):
+        calls.append((plant, m, samples, seed))
+        return 0.25
+
+    monkeypatch.setattr(kklio.presets, "estimate_c_o", fake)
+    consts, gs_raw = closed_form_constants(b, seed=5)
+    assert calls == [(b.plant, (4,), kklio.presets.C_O_SAMPLES, 7)]
+    assert consts.c_o == 0.25
+    assert consts == dataclasses.replace(b.consts, c_o=0.25)
+    assert gs_raw == gamma_star(consts, b.target, cap=False)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.7])
@@ -77,7 +110,8 @@ def test_backward_orbit_never_saturates():
 
 def test_gamma_star_capped_value():
     b = build_oscillator(gamma=1.0)
-    assert gamma_star(b.consts, b.target) == pytest.approx(b.gamma_star_raw)
+    consts, gs_raw = closed_form_constants(b)
+    assert gamma_star(consts, b.target) == pytest.approx(gs_raw)
 
 
 def test_unknown_preset_rejected():

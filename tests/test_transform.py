@@ -7,7 +7,8 @@ from kklio import (Box, InverseConfig, PlantModel, SystemConstants, TargetSystem
                    eval_T, eval_T_poly, eval_T_series, gamma_star, invert_T,
                    load_coefficients, make_polynomial_transform, make_series_transform,
                    save_coefficients, solve_poly_T, transform_residual)
-from kklio.presets import (POLY_BASIS, build_oscillator, make_oscillator_plant)
+from kklio.presets import (POLY_BASIS, build_oscillator, closed_form_constants,
+                           make_oscillator_plant)
 
 
 def unit_consts(m=(1,)):
@@ -54,19 +55,34 @@ def test_gamma_star_capped_at_one():
 
 def test_gamma_star_oscillator_regression():
     b = build_oscillator(gamma=1.0)
-    assert b.gamma_star_raw == pytest.approx(7.97303902279075e-07, rel=1e-9)
-    assert 0.0 < gamma_star(b.consts, b.target) < 1.0
+    consts, gs_raw = closed_form_constants(b)
+    assert gs_raw == pytest.approx(7.97303902279075e-07, rel=1e-9)
+    assert 0.0 < gamma_star(consts, b.target) < 1.0
+
+
+def test_closed_form_constants_need_c_o():
+    consts = SystemConstants(c_f=1.0, c_h=1.0, c_o=None, c_c=1.0, m=(1,))
+    with pytest.raises(ValueError, match="estimate_c_o"):
+        gamma_star(consts, single_block_target())
+    with pytest.raises(ValueError, match="estimate_c_o"):
+        derived_constants(consts, single_block_target(), gamma=0.5)
+
+
+@pytest.mark.parametrize("c_o", [0.0, -1.0, float("nan")])
+def test_system_constants_reject_nonpositive_c_o(c_o):
+    with pytest.raises(ValueError, match="c_o must be strictly positive when set"):
+        SystemConstants(c_f=1.0, c_h=1.0, c_o=c_o, c_c=1.0, m=(1,))
 
 
 def test_derived_constants_hand_case():
-    c_L, c_I, c = derived_constants(unit_consts(), single_block_target(), gamma=0.5)
+    c_L, c_I = derived_constants(unit_consts(), single_block_target(), gamma=0.5)
     assert c_L == pytest.approx(4.0 / 3.0)
     assert c_I == pytest.approx(2.0 / 3.0)
-    assert c == pytest.approx(1.5)
+    assert 1.0 / c_I == pytest.approx(1.5)
 
 
 def test_derived_constants_small_gamma_limit():
-    _, c_I, _ = derived_constants(unit_consts(), single_block_target(), gamma=1e-12)
+    _, c_I = derived_constants(unit_consts(), single_block_target(), gamma=1e-12)
     assert c_I == pytest.approx(1.0, rel=1e-9)  # -> c_N * c_c * c_o
 
 
@@ -225,6 +241,18 @@ def test_series_rejects_noncontractive_scaled_matrix():
 @pytest.fixture(scope="module")
 def osc():
     return build_oscillator(gamma=1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": float("nan")}, {"tol": float("inf")},
+    {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": float("nan")}, {"fd_step": float("inf")},
+    {"max_iters": 0},
+], ids=["tol-nan", "tol-inf", "fd_step-0", "fd_step-neg", "fd_step-nan", "fd_step-inf",
+        "max_iters-0"])
+def test_inverse_config_rejects_idle_settings(osc, bad):
+    # each of these used to make invert_T return a lattice point untouched
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        InverseConfig(box=osc.plant.box_x_enlarged, **bad)
 
 
 def test_invert_roundtrip(osc):
