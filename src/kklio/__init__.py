@@ -8,10 +8,9 @@ numerical inverse of the transform.
 
 from .coords import CanonicalBlock, CoordChangeSeq, assemble_target_matrix, build_coord_change
 from .intervals import Box, inf_norm, interval_image, mat_inf_norm, split_neg, split_pos
-from .observer import (ObserverConfig, ObserverState, init_observer, mixed_monotone_bounds,
-                       recover_x_bounds, recover_x_mixed_monotone, step)
-from .plant import (NoiseSpec, PlantModel, PlantTrace, SystemConstants, distinguishability_map,
-                    estimate_c_o, estimate_lipschitz, simulate_plant)
+from .observer import ObserverConfig, ObserverState, init_observer, recover_x_bounds, step
+from .plant import (PlantModel, PlantTrace, SystemConstants, distinguishability_map, estimate_c_o,
+                    estimate_lipschitz, simulate_plant)
 from .transform import (InverseConfig, KklTransform, TargetSystem, derived_constants,
                         estimate_forward_lipschitz, estimate_injectivity, eval_T, eval_T_poly,
                         eval_T_series, gamma_star, invert_T, load_coefficients,
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "split_pos", "split_neg", "interval_image", "inf_norm", "mat_inf_norm",
-    "PlantModel", "PlantTrace", "SystemConstants", "NoiseSpec",
+    "PlantModel", "PlantTrace", "SystemConstants",
     "simulate_plant", "estimate_lipschitz", "estimate_c_o", "distinguishability_map",
     "TargetSystem", "KklTransform", "InverseConfig",
     "gamma_star", "derived_constants", "solve_poly_T", "make_polynomial_transform",
@@ -31,5 +30,5 @@ __all__ = [
     "save_coefficients", "load_coefficients",
     "CanonicalBlock", "CoordChangeSeq", "build_coord_change", "assemble_target_matrix",
     "ObserverConfig", "ObserverState", "init_observer", "step",
-    "recover_x_bounds", "recover_x_mixed_monotone", "mixed_monotone_bounds",
+    "recover_x_bounds",
 ]

@@ -69,6 +69,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(loaded) - set(_RUN_FIELDS) - {"gamma"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -80,20 +82,40 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+_NUMBER = (int, float)
+_SCALAR_TYPES = {"preset": str, "tau": _NUMBER, "gamma": _NUMBER, "steps": int, "seed": int,
+                 "x0_halfwidth": _NUMBER, "out": str, "svg": str, "coeffs": str}
+
+
+def _typed(key: str, v, types):
+    # bool is an int subclass, but true/false is never a count or a number here
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise ValueError(f"config key {key!r} has the wrong type: {v!r}")
+    return v
+
+
+def _typed_seq(key: str, v, types, length=None) -> tuple:
+    if not isinstance(v, (list, tuple)) or (length is not None and len(v) != length):
+        raise ValueError(f"config key {key!r} has the wrong type: {v!r}")
+    return tuple(_typed(key, item, types) for item in v)
+
+
 def _run_config(merged: dict) -> RunConfig:
     kwargs = {}
-    for key in ("preset", "tau", "gamma", "steps", "seed", "out", "svg", "coeffs",
-                "x0", "x0_halfwidth", "window"):
-        if key in merged and merged[key] is not None:
-            kwargs[key] = merged[key]
+    for key, types in _SCALAR_TYPES.items():
+        if merged.get(key) is not None:
+            kwargs[key] = _typed(key, merged[key], types)
+    if merged.get("x0") is not None:
+        kwargs["x0"] = _typed_seq("x0", merged["x0"], _NUMBER)
+    if merged.get("window") is not None:
+        kwargs["window"] = _typed_seq("window", merged["window"], int, length=2)
     for key in ("noise", "disturbance"):
-        if key in merged and merged[key] is not None:
-            v = merged[key]
-            kwargs[key] = v if isinstance(v, bool) else v == "on"
-    if "x0" in kwargs:
-        kwargs["x0"] = tuple(kwargs["x0"])
-    if "window" in kwargs:
-        kwargs["window"] = tuple(kwargs["window"])
+        v = merged.get(key)
+        if v is None:
+            continue
+        if not isinstance(v, bool) and v not in ("on", "off"):
+            raise ValueError(f"{key} must be true, false, 'on' or 'off', got {v!r}")
+        kwargs[key] = v if isinstance(v, bool) else v == "on"
     return RunConfig(**kwargs)
 
 
@@ -111,6 +133,8 @@ def main(argv=None) -> int:
             raise ValueError("compare needs --gammas")
         if isinstance(gammas, str):
             gammas = [float(g) for g in gammas.split(",") if g]
+        else:
+            gammas = _typed_seq("gammas", gammas, _NUMBER)
         return _cmd_compare(cfg, gammas)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

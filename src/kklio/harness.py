@@ -25,7 +25,7 @@ import numpy as np
 from . import presets
 from .intervals import Box, inf_norm
 from .observer import init_observer, recover_x_bounds, step
-from .plant import NoiseSpec, simulate_plant
+from .plant import simulate_plant
 from .svg import write_svg
 from .transform import eval_T, load_coefficients
 
@@ -95,15 +95,15 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     if not plant.box_x0.contains(x0):
         raise ValueError("true initial state lies outside the initial box")
 
-    w, d, noise_spec = _noise_profile(cfg, plant)
+    w, w_lo, w_hi, d, d_lo, d_hi = _noise_profile(cfg, plant)
     trace = simulate_plant(plant, x0, cfg.steps, w=w, d=d)
     obs_cfg = bundle.observer_cfg
     state = init_observer(obs_cfg, x0_box_lo, x0_box_hi)
 
     rows = [_row_from_state(0, trace, state, bundle)]
     for k in range(cfg.steps):
-        kw = dict(d_lo=noise_spec.d_lo(k), d_hi=noise_spec.d_hi(k)) if cfg.disturbance else {}
-        state = step(state, obs_cfg, trace.ys[k], noise_spec.w_lo(k), noise_spec.w_hi(k), **kw)
+        kw = dict(d_lo=d_lo(k), d_hi=d_hi(k)) if cfg.disturbance else {}
+        state = step(state, obs_cfg, trace.ys[k], w_lo(k), w_hi(k), **kw)
         state = recover_x_bounds(state, obs_cfg)
         rows.append(_row_from_state(state.k, trace, state, bundle))
 
@@ -116,17 +116,20 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 
 
 def _noise_profile(cfg: RunConfig, plant):
-    """Noise/disturbance realizations plus their bound spec per the toggles."""
-    zero = NoiseSpec.zero(plant.n_y, plant.n_x)
-    w = None
-    w_lo, w_hi = zero.w_lo, zero.w_hi
+    """Noise and disturbance realizations with their per-step bounds.
+
+    Returns ``(w, w_lo, w_hi, d, d_lo, d_hi)`` per the toggles. Noise that is
+    off has zero bounds; a disturbance that is off is all ``None``.
+    """
     if cfg.noise:
         w, w_lo, w_hi = presets.siE_noise()
-    d = None
-    d_lo, d_hi = zero.d_lo, zero.d_hi
+    else:
+        zero = np.zeros(plant.n_y)
+        w, w_lo, w_hi = None, (lambda k: zero), (lambda k: zero)
+    d = d_lo = d_hi = None
     if cfg.disturbance:
         d, d_lo, d_hi = presets.siE_disturbance()
-    return w, d, NoiseSpec(w_lo=w_lo, w_hi=w_hi, d_lo=d_lo, d_hi=d_hi)
+    return w, w_lo, w_hi, d, d_lo, d_hi
 
 
 def _row_from_state(k, trace, state, bundle) -> TraceRow:

@@ -23,7 +23,7 @@ states, so independent observers can run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,8 @@ class ObserverConfig:
     since a larger one would shrink that margin below what is guaranteed.
     ``recovery_variant`` accepts only ``"min_max"`` (the intersection rule);
     the keyword remains because the benchmark worker (``perfbench/worker.py``)
-    passes it.
+    passes it. The inversion box must lie inside the plant's enlarged box,
+    where ``c_L`` and ``c_I`` are sampled, and contain the invariant box.
     """
 
     transform: KklTransform
@@ -61,6 +62,11 @@ class ObserverConfig:
                              f"gamma={self.transform.target.gamma}")
         if self.consts.c_L is None or self.consts.c_I is None:
             raise ValueError("constants must provide c_L and c_I")
+        plant = self.transform.plant
+        box = self.inverse_cfg.box
+        if not (plant.box_x_enlarged.contains_box(box) and box.contains_box(plant.box_x)):
+            raise ValueError("inversion box must lie inside the enlarged box and "
+                             "contain the invariant box")
         object.__setattr__(self, "margin_c_over_gamma",
                            self.consts.c / self.gamma ** (self.consts.m_bar - 1))
         a = self.transform.target.A
@@ -176,39 +182,10 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
     if state.inv_hi is not None and state.inv_lo is not None:
         warm = np.stack([state.inv_hi, state.inv_lo])
     (u, v), resids = invert_T(cfg.transform, np.stack([state.z_hi, state.z_lo]),
-                              cfg.inverse_cfg.with_warm_start(warm))
+                              cfg.inverse_cfg, warm=warm)
     resid_hi, resid_lo = float(resids[0]), float(resids[1])
     margin = cfg.margin_c_over_gamma * float(np.max(state.z_hi - state.z_lo))
     x_hi = np.minimum(u, v) + margin
     x_lo = np.maximum(u, v) - margin
     return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
                    resid_hi=resid_hi, resid_lo=resid_lo)
-
-
-def mixed_monotone_bounds(decomposition: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          z_lo: np.ndarray, z_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State bounds ``(x_lo, x_hi)`` from a decomposition of the inverse map."""
-    x_lo = np.asarray(decomposition(z_lo, z_hi), dtype=float)
-    x_hi = np.asarray(decomposition(z_hi, z_lo), dtype=float)
-    return x_lo, x_hi
-
-
-def recover_x_mixed_monotone(state: ObserverState, cfg: ObserverConfig,
-                             decomposition: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                             check_tol: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Tighter recovery for callers who supply a decomposition of the inverse.
-
-    Only valid when the inverse map is mixed monotone, which is situational;
-    the decomposition is spot-checked against the numerical inverse on the
-    diagonal (``decomposition(z, z)`` must equal the inverse at ``z``).
-    """
-    zs = np.stack([state.z_hi, state.z_lo, 0.5 * (state.z_hi + state.z_lo)])
-    xs_num, _ = invert_T(cfg.transform, zs, cfg.inverse_cfg)
-    for z, x_num in zip(zs, xs_num):
-        diag = np.asarray(decomposition(z, z), dtype=float)
-        if inf_norm(diag - x_num) > check_tol:
-            raise ValueError(
-                "decomposition disagrees with the inverse on the diagonal: "
-                f"gap {inf_norm(diag - x_num):.3e} at z={z}"
-            )
-    return mixed_monotone_bounds(decomposition, state.z_lo, state.z_hi)

@@ -101,22 +101,6 @@ class SystemConstants:
         return replace(self, c_L=c_L, c_I=c_I)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Known per-step bounds on measurement noise and state disturbance."""
-
-    w_lo: Callable[[int], np.ndarray]
-    w_hi: Callable[[int], np.ndarray]
-    d_lo: Callable[[int], np.ndarray]
-    d_hi: Callable[[int], np.ndarray]
-
-    @staticmethod
-    def zero(n_y: int, n_x: int) -> "NoiseSpec":
-        zy = np.zeros(n_y)
-        zx = np.zeros(n_x)
-        return NoiseSpec(lambda k: zy, lambda k: zy, lambda k: zx, lambda k: zx)
-
-
 @dataclass(frozen=True, eq=False)
 class PlantTrace:
     """Simulated trajectory; row ``k`` holds ``x[k]``, ``y[k]`` and the noises."""

@@ -20,7 +20,7 @@ its residual, so callers can account for inversion quality explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,13 @@ _POLY_CHECK_TOL = 1e-10
 _POLY_CHECK_POINTS = 1000
 _SUP_OUTPUT_INFLATION = 1.2
 _SERIES_SUP_GRID = 10000
+
+# Gauss-Newton inversion: lattice starts per axis, iteration cap, residual
+# tolerance, and finite-difference step relative to max(1, |x|)
+_LATTICE_PER_AXIS = 7
+_MAX_ITERS = 60
+_TOL = 1e-10
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,46 +170,20 @@ def derived_constants(consts: SystemConstants, target: TargetSystem,
 
 @dataclass(frozen=True)
 class InverseConfig:
-    """Settings for the multi-start box-constrained least-squares inverse.
+    """The box of the multi-start box-constrained least-squares inverse.
 
-    The start set is a fixed interior lattice with ``lattice_per_axis``
-    points per axis (``starts`` caps how many are used, in deterministic
-    row-major order) plus the optional warm start.
+    The start set is a fixed interior lattice of ``_LATTICE_PER_AXIS``
+    points per axis, in row-major order; ``invert_T`` adds the warm start.
     """
 
     box: Box
-    starts: Optional[int] = None
-    max_iters: int = 60
-    tol: float = 1e-10
-    lattice_per_axis: int = 7
-    fd_step: float = 1e-6
-    warm_start: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.starts is not None and self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        # NaN compares false both ways, so finiteness is checked apart
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("tol must be positive and finite")
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0.0):
-            raise ValueError("fd_step must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.lattice_per_axis < 1:
-            raise ValueError("lattice_per_axis must be >= 1")
 
     def start_points(self) -> np.ndarray:
         n = self.box.dim
-        frac = (np.arange(self.lattice_per_axis) + 0.5) / self.lattice_per_axis
+        frac = (np.arange(_LATTICE_PER_AXIS) + 0.5) / _LATTICE_PER_AXIS
         axes = [self.box.lo[i] + self.box.width[i] * frac for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1).reshape(-1, n)
-        if self.starts is not None:
-            pts = pts[: self.starts]
-        return pts
-
-    def with_warm_start(self, x) -> "InverseConfig":
-        return replace(self, warm_start=None if x is None else np.asarray(x, dtype=float))
+        return np.stack(mesh, axis=-1).reshape(-1, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,7 +427,7 @@ def _monomials(x: np.ndarray, basis) -> np.ndarray:
 # numerical left inverse
 
 
-def invert_T(t: KklTransform, z, cfg: InverseConfig):
+def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
     """Best box-constrained preimage of ``z`` under the transform.
 
     Multi-start damped Gauss-Newton with finite-difference Jacobians; the
@@ -458,9 +439,9 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig):
 
     ``z`` of shape ``(n_z,)`` returns ``(x, resid)``. A stack of targets of
     shape ``(p, n_z)`` returns ``(xs, resids)`` of shapes ``(p, n_x)`` and
-    ``(p,)``, each row exactly what the single-target call returns; the
-    warm start is then ``None``, one point shared by every target, or one
-    point per target of shape ``(p, n_x)``. All targets' starts run in the
+    ``(p,)``, each row exactly what the single-target call returns. ``warm``
+    is shaped like the result: ``(n_x,)`` for one target, ``(p, n_x)``
+    (one point per target) for a stack. All targets' starts run in the
     same batch; a target whose starts have all stopped costs nothing more.
     """
     z = np.asarray(z, dtype=float)
@@ -472,12 +453,11 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig):
     lattice = cfg.start_points()
     n_x = lattice.shape[1]
     starts = np.broadcast_to(lattice, (p,) + lattice.shape)
-    if cfg.warm_start is not None:
-        warm = np.asarray(cfg.warm_start, dtype=float)
-        if warm.shape not in ((n_x,), (p, n_x)):
-            raise ValueError(f"warm_start must have shape ({n_x},) or ({p}, {n_x})")
-        warm = np.broadcast_to(warm, (p, n_x))
-        starts = np.concatenate([warm[:, None, :], starts], axis=1)
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        if warm.shape != z.shape[:-1] + (n_x,):
+            raise ValueError(f"warm must have shape {z.shape[:-1] + (n_x,)}, got {warm.shape}")
+        starts = np.concatenate([warm.reshape(p, 1, n_x), starts], axis=1)
     n_per = starts.shape[1]
     xs, rs = _gauss_newton(t, np.repeat(zs, n_per, axis=0), starts.reshape(-1, n_x), cfg)
     xs = xs.reshape(p, n_per, n_x)
@@ -518,14 +498,14 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
     eye = np.eye(n_x)
     tx = eval_T(t, x)
     act = np.arange(len(x))
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         if not act.size:
             break
         xa, txa, za = x[act], tx[act], z[act]
         n_s = len(act)
         res = txa - za
         f0 = (res * res).sum(axis=1)
-        steps = cfg.fd_step * np.maximum(1.0, np.abs(xa))
+        steps = _FD_STEP * np.maximum(1.0, np.abs(xa))
         probes = (xa[None, :, :] + steps.T[:, :, None] * eye[:, None, :]).reshape(-1, n_x)
         tp = eval_T(t, probes).reshape(n_x, n_s, -1)
         # einsum sums in another order over a strided operand: keep the
@@ -549,7 +529,7 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         move = np.abs(x_next - xa).max(axis=1)
         x[act], tx[act] = x_next, tx_next
         resid = np.abs(tx_next - za).max(axis=1)
-        done = (~has_step | (resid <= cfg.tol)
+        done = (~has_step | (resid <= _TOL)
                 | (move <= 1e-15 * (1.0 + np.abs(x_next).max(axis=1))))
         act = act[~done]
     resid = np.max(np.abs(tx - z), axis=1)

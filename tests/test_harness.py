@@ -186,6 +186,21 @@ def test_cli_config_variant_key_exit_3(tmp_path, capsys):
     assert "variant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config", [
+    ("run", {"noise": "yes"}), ("run", {"disturbance": 1}), ("run", {"steps": "3"}),
+    ("run", {"window": 5}), ("run", {"x0": [1.0, True]}), ("run", 12),
+    ("compare", {"gammas": 1.0}),
+], ids=["noise-yes", "disturbance-1", "steps-str", "window-int", "x0-bool", "not-object",
+        "gammas-number"])
+def test_cli_config_wrong_type_exit_3(tmp_path, capsys, command, config):
+    # a value of the wrong type is a configuration error, not a traceback
+    # and not a quietly switched-off toggle
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path)]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_violation_exit_2(monkeypatch, capsys):
     import kklio.cli as cli_mod
 

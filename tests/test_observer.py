@@ -3,9 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kklio import (eval_T, init_observer, interval_image, inf_norm,
-                   mixed_monotone_bounds, recover_x_bounds,
-                   recover_x_mixed_monotone, simulate_plant, split_neg, split_pos, step)
+from kklio import Box, eval_T, inf_norm, init_observer, recover_x_bounds, simulate_plant, step
 from kklio.presets import build_oscillator, siE_disturbance, siE_noise
 
 
@@ -87,6 +85,34 @@ def test_observer_config_derives_margin_and_checks_gamma(osc):
         ObserverConfig(**kw, recovery_variant="swapped")
     with pytest.raises(TypeError):
         ObserverConfig(**kw, margin_c_over_gamma=1.0)
+
+
+def test_observer_config_rejects_frames_of_other_target(osc):
+    from kklio import CanonicalBlock, ObserverConfig, build_coord_change
+    from kklio.presets import DEFAULT_LAMBDAS
+    cfg = osc.observer_cfg
+    # frames for the same eigenvalues in reverse order propagate another matrix
+    coord = build_coord_change([CanonicalBlock.positive_real(l)
+                                for l in reversed(DEFAULT_LAMBDAS)], cfg.gamma)
+    with pytest.raises(ValueError, match="coordinate frames do not match"):
+        ObserverConfig(transform=cfg.transform, coord=coord, consts=cfg.consts,
+                       gamma=cfg.gamma, inverse_cfg=cfg.inverse_cfg)
+
+
+def test_observer_config_checks_inversion_box(osc):
+    from kklio import InverseConfig, ObserverConfig
+    cfg = osc.observer_cfg
+    plant = osc.plant
+    kw = dict(transform=cfg.transform, coord=cfg.coord, consts=cfg.consts, gamma=cfg.gamma)
+    # c_L and c_I are sampled on the enlarged box: an inverse outside it is
+    # not covered by the margin, and one that cannot reach the invariant box
+    # misses states the observer must enclose
+    for lo, hi in (([-4.0, -3.0], [3.0, 3.0]), ([-3.0, -3.0], [3.0, 3.5]),
+                   ([-1.0, -2.0], [2.0, 2.0]), ([-2.0, -2.0], [2.0, 1.5])):
+        with pytest.raises(ValueError, match="inversion box"):
+            ObserverConfig(**kw, inverse_cfg=InverseConfig(box=Box(lo, hi)))
+    for box in (plant.box_x, plant.box_x_enlarged):
+        ObserverConfig(**kw, inverse_cfg=InverseConfig(box=box))
 
 
 def test_step_rejects_unordered_noise(osc):
@@ -255,84 +281,3 @@ def test_series_mode_observer_end_to_end(osc):
     # with one and two BLAS threads)
     assert digest.hexdigest() == (
         "f94c44b4c9b9eb5bad954c5fbad9ea61a06b7210190aab5b3e861566ee553dd2")
-
-
-def test_mixed_monotone_linear_decomposition():
-    p_mat = np.array([[0.5, -0.25, 0.1, 0.0], [0.2, 0.3, -0.4, 0.05]])
-
-    def decomp(u, v):
-        return split_pos(p_mat) @ u - split_neg(p_mat) @ v
-
-    z_lo = np.array([-1.0, 0.0, 0.5, -0.2])
-    z_hi = np.array([0.5, 1.0, 0.75, 0.1])
-    x_lo, x_hi = mixed_monotone_bounds(decomp, z_lo, z_hi)
-    oracle_lo, oracle_hi = interval_image(p_mat, z_lo, z_hi)
-    np.testing.assert_array_equal(x_lo, oracle_lo)
-    np.testing.assert_array_equal(x_hi, oracle_hi)
-
-
-def test_mixed_monotone_degenerate_interval():
-    p_mat = np.array([[1.0, 0.5], [0.0, 2.0]])
-
-    def decomp(u, v):
-        return split_pos(p_mat) @ u - split_neg(p_mat) @ v
-
-    z = np.array([0.3, -0.6])
-    x_lo, x_hi = mixed_monotone_bounds(decomp, z, z)
-    np.testing.assert_allclose(x_lo, p_mat @ z, atol=1e-15)
-    np.testing.assert_array_equal(x_lo, x_hi)
-
-
-def test_mixed_monotone_tighter_than_margin_form():
-    # componentwise increasing inverse: decomposition bounds must sit inside
-    # the margin-based bounds whenever the margin covers the map's gain
-    rng = np.random.default_rng(5)
-    p_mat = np.abs(rng.normal(size=(2, 4)))
-    margin_coeff = float(np.abs(p_mat).sum(axis=1).max())
-
-    def decomp(u, v):
-        return p_mat @ u
-
-    for _ in range(50):
-        z_lo = rng.normal(size=4)
-        z_hi = z_lo + rng.uniform(0, 1, size=4)
-        mm_lo, mm_hi = mixed_monotone_bounds(decomp, z_lo, z_hi)
-        u, v = p_mat @ z_hi, p_mat @ z_lo
-        margin = margin_coeff * np.max(z_hi - z_lo)
-        wide_hi = np.minimum(u, v) + margin
-        wide_lo = np.maximum(u, v) - margin
-        assert np.all(mm_hi <= wide_hi + 1e-12)
-        assert np.all(mm_lo >= wide_lo - 1e-12)
-
-
-def test_mixed_monotone_rejects_bad_decomposition(osc):
-    from dataclasses import replace
-    cfg = osc.observer_cfg
-    x_bar = np.array([0.5, 0.5])
-    z = eval_T(osc.transform, x_bar)
-    state = init_observer(cfg, x_bar, x_bar)
-    state = replace(state, k=1, z_hi=z + 0.01, z_lo=z - 0.01)
-
-    def wrong(u, v):
-        return np.array([10.0, 10.0])
-
-    with pytest.raises(ValueError, match="diagonal"):
-        recover_x_mixed_monotone(state, cfg, wrong)
-
-
-def test_mixed_monotone_accepts_consistent_decomposition(osc):
-    from dataclasses import replace
-    from kklio import invert_T
-    cfg = osc.observer_cfg
-    x_bar = np.array([0.5, 0.5])
-    z = eval_T(osc.transform, x_bar)
-    state = init_observer(cfg, x_bar, x_bar)
-    state = replace(state, k=1, z_hi=z.copy(), z_lo=z.copy())
-
-    def decomp(u, v):
-        x, _ = invert_T(cfg.transform, np.asarray(u, dtype=float), cfg.inverse_cfg)
-        return x
-
-    x_lo, x_hi = recover_x_mixed_monotone(state, cfg, decomp)
-    np.testing.assert_allclose(x_lo, x_hi, atol=1e-12)
-    assert np.max(np.abs(x_lo - x_bar)) <= 1e-4

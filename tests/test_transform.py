@@ -250,8 +250,9 @@ def osc():
 ], ids=["tol-nan", "tol-inf", "fd_step-0", "fd_step-neg", "fd_step-nan", "fd_step-inf",
         "max_iters-0"])
 def test_inverse_config_rejects_idle_settings(osc, bad):
-    # each of these used to make invert_T return a lattice point untouched
-    with pytest.raises(ValueError, match=next(iter(bad))):
+    # each of these would make invert_T return a lattice point untouched; the
+    # Gauss-Newton settings are module constants, so the box is the only field
+    with pytest.raises(TypeError, match=next(iter(bad))):
         InverseConfig(box=osc.plant.box_x_enlarged, **bad)
 
 
@@ -291,8 +292,7 @@ def test_invert_warm_start_used(osc):
     cfg = InverseConfig(box=osc.plant.box_x_enlarged)
     x_true = np.array([0.4, 0.2])
     z = eval_T(osc.transform, x_true)
-    warm = cfg.with_warm_start(x_true + 1e-3)
-    x, resid = invert_T(osc.transform, z, warm)
+    x, resid = invert_T(osc.transform, z, cfg, warm=x_true + 1e-3)
     assert np.max(np.abs(x - x_true)) <= 1e-6
     assert resid <= 1e-8
 
@@ -307,7 +307,7 @@ def osc_series(osc):
 def test_invert_stack_equals_single_calls(osc, osc_series, mode, warm):
     # the first target is met exactly by its warm start (or within a few
     # iterations from the lattice); the second is unreachable, so its starts
-    # run to max_iters while the first target's rows sit converged
+    # run to the iteration cap while the first target's rows sit converged
     t = osc.transform if mode == "polynomial" else osc_series
     cfg = InverseConfig(box=osc.plant.box_x_enlarged)
     x_near = np.array([0.4, 0.2])
@@ -315,11 +315,10 @@ def test_invert_stack_equals_single_calls(osc, osc_series, mode, warm):
     warms = {None: [None, None],
              "shared": [x_near, x_near],
              "per_target": [x_near, np.array([-0.3, 0.6])]}[warm]
-    stack_warm = None if warm is None else (x_near if warm == "shared" else np.stack(warms))
-    xs, rs = invert_T(t, zs, cfg.with_warm_start(stack_warm))
+    xs, rs = invert_T(t, zs, cfg, warm=None if warm is None else np.stack(warms))
     assert xs.shape == (2, 2) and rs.shape == (2,)
     for j in range(2):
-        x, r = invert_T(t, zs[j], cfg.with_warm_start(warms[j]))
+        x, r = invert_T(t, zs[j], cfg, warm=warms[j])
         assert np.array_equal(xs[j], x) and rs[j] == r
     assert rs[0] <= 1e-8 and rs[1] > 1.0
 
@@ -329,8 +328,11 @@ def test_invert_stack_rejects_bad_shapes(osc):
     z = eval_T(osc.transform, np.array([0.4, 0.2]))
     with pytest.raises(ValueError, match="z must"):
         invert_T(osc.transform, z[:3], cfg)
-    with pytest.raises(ValueError, match="warm_start"):
-        invert_T(osc.transform, np.stack([z, z]), cfg.with_warm_start(np.zeros((3, 2))))
+    # the warm start is shaped like the result: one point per target
+    for zs, warm in ((np.stack([z, z]), np.zeros((3, 2))), (np.stack([z, z]), np.zeros(2)),
+                     (z, np.zeros((1, 2)))):
+        with pytest.raises(ValueError, match="warm"):
+            invert_T(osc.transform, zs, cfg, warm=warm)
 
 
 def _mixed_targets(t):
@@ -410,9 +412,14 @@ def test_monomials_match_product_loop():
         assert np.array_equal(_monomials(pts, basis), _monomials_product_loop(pts, basis))
 
 
-def test_invert_respects_start_cap(osc):
-    cfg = InverseConfig(box=osc.plant.box_x_enlarged, starts=1, lattice_per_axis=3)
-    assert cfg.start_points().shape == (1, 2)
+def test_start_points_fixed_lattice():
+    # 7 interior points per axis, cell centres, first axis slowest
+    pts = InverseConfig(box=Box([-3.0, 0.0], [4.0, 0.7])).start_points()
+    assert pts.shape == (49, 2)
+    centres = np.arange(7) + 0.5
+    np.testing.assert_allclose(pts[:7], np.stack([np.full(7, -3.0 + centres[0]),
+                                                  0.1 * centres], axis=1), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pts[::7, 0], -3.0 + centres, rtol=0, atol=1e-15)
 
 
 # --- sampled constants -------------------------------------------------------
