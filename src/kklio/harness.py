@@ -83,7 +83,12 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     """Build the stack, run the observer along a simulated trajectory."""
     coeffs = None
     if cfg.coeffs is not None:
-        coeffs, _basis = load_coefficients(cfg.coeffs)
+        coeffs, basis = load_coefficients(cfg.coeffs)
+        if set(basis) != set(presets.POLY_BASIS):
+            raise ValueError(f"coefficient table basis {basis} differs from the preset "
+                             f"basis {presets.POLY_BASIS}")
+        # the table may list the basis in any order: match columns by exponents
+        coeffs = coeffs[:, [basis.index(e) for e in presets.POLY_BASIS]]
     x0 = np.asarray(cfg.x0, dtype=float)
     x0_box_lo = x0 - cfg.x0_halfwidth
     x0_box_hi = x0 + cfg.x0_halfwidth

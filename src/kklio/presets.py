@@ -147,8 +147,12 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
     """Assemble the demo plant, transform, frames, constants and observer.
 
     The bundle's ``consts.c_o`` is ``None``: only the closed-form constants
-    use it, and ``closed_form_constants`` estimates it on demand.
+    use it, and ``closed_form_constants`` estimates it on demand. ``tau``
+    must be finite and positive: at ``tau = 0`` the plant is the identity
+    map, whose outputs cannot tell its states apart.
     """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     plant = make_oscillator_plant(tau, x0_box)
     target = TargetSystem(blocks=((np.diag(DEFAULT_LAMBDAS), np.ones(len(DEFAULT_LAMBDAS))),),
                           gamma=gamma)

@@ -432,8 +432,9 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
 
     Multi-start damped Gauss-Newton with finite-difference Jacobians; the
     warm start (when given) and all lattice starts iterate in one batch,
-    which a start leaves once it converges or stalls. Ties between equally
-    good minimizers break on smaller max-norm, then lexicographically, so
+    which a start leaves once it converges, stalls, or can no longer be the
+    returned point (see ``_gauss_newton``). Ties between equally good
+    minimizers break on smaller max-norm, then lexicographically, so
     results are deterministic. Never raises: the residual reports the fit
     quality.
 
@@ -458,10 +459,7 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
         if warm.shape != z.shape[:-1] + (n_x,):
             raise ValueError(f"warm must have shape {z.shape[:-1] + (n_x,)}, got {warm.shape}")
         starts = np.concatenate([warm.reshape(p, 1, n_x), starts], axis=1)
-    n_per = starts.shape[1]
-    xs, rs = _gauss_newton(t, np.repeat(zs, n_per, axis=0), starts.reshape(-1, n_x), cfg)
-    xs = xs.reshape(p, n_per, n_x)
-    rs = rs.reshape(p, n_per)
+    xs, rs = _gauss_newton(t, zs, starts, cfg)
     best = [_best_start(x, r) for x, r in zip(xs, rs)]
     x_best = xs[np.arange(p), best]
     r_best = rs[np.arange(p), best]
@@ -481,22 +479,35 @@ _LS_ALPHAS = 0.5 ** np.arange(14)
 
 def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
                   cfg: InverseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton from every start; row ``s`` fits target ``z[s]``.
+    """Gauss-Newton from every start; ``starts[g]`` all fit target ``z[g]``.
 
-    Each iteration runs only on the active rows; a row leaves the batch once
-    it converges or stalls, and the remaining rows iterate exactly as
-    before. Each row's iterates do not depend on which other rows share the
-    batch, as long as ``eval_T`` gives a point the same bits in any batch:
-    a lone polynomial point goes through a one-row matmul (BLAS gemv) that
-    rounds differently, and the probes of a lone active row are one point
-    when ``n_x == 1``.
+    ``z`` has shape ``(p, n_z)`` and ``starts`` ``(p, n_per, n_x)``; the end
+    points come back as ``(p, n_per, n_x)`` with their max-norm residuals
+    ``(p, n_per)``. Each iteration runs only on the active starts. A start
+    leaves the batch once it converges or stalls, or once it can no longer
+    be its target's returned point: with ``best`` the smallest current sum
+    of squares among the starts of its target, both its own sum of squares
+    ``f`` and the linearised minimum ``||res + J d||^2`` of its full
+    Gauss-Newton step ``d`` exceed ``n_z * best``. Its max-norm residual,
+    at least ``sqrt(f / n_z)``, then exceeds ``sqrt(best)``, which bounds
+    the final max-norm residual of that best start, since no start's sum of
+    squares ever grows. While a start is in the batch its iterates do not
+    depend on the other starts, and whether it stays depends only on the
+    starts of its own target, so each target's end points do not depend on
+    the other targets, as long as ``eval_T`` gives a point the same bits in
+    any batch: a lone polynomial point goes through a one-row matmul (BLAS
+    gemv) that rounds differently, and the probes of a lone active start
+    are one point when ``n_x == 1``.
     """
+    p, n_per, n_x = starts.shape
+    n_z = z.shape[1]
     lo, hi = cfg.box.lo, cfg.box.hi
-    x = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    n_x = x.shape[1]
+    x = np.clip(np.asarray(starts, dtype=float).reshape(-1, n_x), lo, hi)
+    z = np.repeat(z, n_per, axis=0)
     damping = 1e-12 * np.eye(n_x)
     eye = np.eye(n_x)
     tx = eval_T(t, x)
+    f = np.empty(len(x))  # each start's latest sum of squares, for its target's best
     act = np.arange(len(x))
     for _ in range(_MAX_ITERS):
         if not act.size:
@@ -505,6 +516,8 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         n_s = len(act)
         res = txa - za
         f0 = (res * res).sum(axis=1)
+        f[act] = f0
+        bound = n_z * f.reshape(p, n_per).min(axis=1)[act // n_per]
         steps = _FD_STEP * np.maximum(1.0, np.abs(xa))
         probes = (xa[None, :, :] + steps.T[:, :, None] * eye[:, None, :]).reshape(-1, n_x)
         tp = eval_T(t, probes).reshape(n_x, n_s, -1)
@@ -514,6 +527,14 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         jtj = np.einsum("sri,srj->sij", jac, jac) + damping
         grad = np.einsum("sri,sr->si", jac, res)
         direction = -np.linalg.solve(jtj, grad[..., None])[..., 0]
+        lin = res + np.einsum("sri,si->sr", jac, direction)
+        keep = (f0 <= bound) | ((lin * lin).sum(axis=1) <= bound)
+        if not keep.all():
+            act, xa, txa, za, f0, direction = (
+                a[keep] for a in (act, xa, txa, za, f0, direction))
+            n_s = len(act)
+            if not n_s:
+                break
 
         # whole backtracking ladder in one batched evaluation per iteration
         trials = np.clip(xa[None, :, :] + _LS_ALPHAS[:, None, None] * direction[None, :, :],
@@ -526,6 +547,7 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         rows = np.arange(n_s)
         x_next = np.where(has_step[:, None], trials[first, rows], xa)
         tx_next = np.where(has_step[:, None], res_t[first, rows] + za, txa)
+        f[act] = np.where(has_step, f_t[first, rows], f0)
         move = np.abs(x_next - xa).max(axis=1)
         x[act], tx[act] = x_next, tx_next
         resid = np.abs(tx_next - za).max(axis=1)
@@ -533,7 +555,7 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
                 | (move <= 1e-15 * (1.0 + np.abs(x_next).max(axis=1))))
         act = act[~done]
     resid = np.max(np.abs(tx - z), axis=1)
-    return x, resid
+    return x.reshape(p, n_per, n_x), resid.reshape(p, n_per)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,35 @@ def test_coeffs_reuse_roundtrip(tmp_path):
     assert res.summary["violations"] == 0
 
 
+def test_coeffs_table_in_any_basis_order(tmp_path):
+    # a table listing the basis in another order is the same transform
+    from kklio.presets import POLY_BASIS, build_oscillator
+    from kklio.transform import load_coefficients, save_coefficients
+    path = tmp_path / "coeffs.txt"
+    save_coefficients(build_oscillator(gamma=1.0).transform, path)
+    header, *lines = path.read_text().splitlines()
+    reordered = tmp_path / "reordered.txt"
+    reordered.write_text("\n".join([header] + lines[::-1]) + "\n")
+    assert load_coefficients(reordered)[1] == POLY_BASIS[::-1]
+    outs = []
+    for table in (path, reordered):
+        outs.append(tmp_path / f"{table.stem}.csv")
+        run_experiment(RunConfig(steps=5, noise=True, window=(0, 5), coeffs=str(table),
+                                 out=str(outs[-1])))
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_cli_coeffs_foreign_basis_exit_3(tmp_path, capsys):
+    from kklio.presets import POLY_BASIS, build_oscillator
+    from kklio.transform import save_coefficients
+    path = tmp_path / "coeffs.txt"
+    save_coefficients(build_oscillator(gamma=1.0).transform, path)
+    path.write_text(path.read_text().replace(" 1 1 ", " 3 0 "))
+    assert main(["run", "--steps", "3", "--coeffs", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "(3, 0)" in err and str(POLY_BASIS) in err
+
+
 def test_window_falls_back_when_out_of_range():
     res = run_experiment(RunConfig(steps=20, noise=True))  # default window starts at 100
     s = res.summary
@@ -157,6 +186,25 @@ def test_cli_constants(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "c_f=" in out and "gamma_star" in out and "c_I=" in out
+
+
+@pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["run", "--steps", "3"],
+                                     ["compare", "--gammas", "1.0", "--steps", "3"],
+                                     ["constants"]], ids=["run", "compare", "constants"])
+def test_cli_tau_out_of_range_exit_3(capsys, command, tau):
+    # at tau = 0 the plant is the identity map: the run used to exit 0 with
+    # width_x about 1e12, and nan failed with an unrelated message
+    assert main(command + ["--tau", tau]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "tau must be finite and positive" in err
+
+
+def test_cli_config_tau_zero_exit_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tau": 0, "steps": 3}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "tau must be finite and positive" in capsys.readouterr().err
 
 
 def test_cli_config_file_merge(tmp_path, capsys):

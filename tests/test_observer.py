@@ -280,4 +280,4 @@ def test_series_mode_observer_end_to_end(osc):
     # byte pin of the recovered series-mode states (numpy 2.4.6; the same
     # with one and two BLAS threads)
     assert digest.hexdigest() == (
-        "f94c44b4c9b9eb5bad954c5fbad9ea61a06b7210190aab5b3e861566ee553dd2")
+        "08a16d5ec1a0cb6575e4c25008b33f427d686666cff6d7bc7cc0fc4dd348c47f")

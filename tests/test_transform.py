@@ -353,10 +353,12 @@ def test_gauss_newton_rows_independent_of_batch(osc, osc_series, mode):
     t = osc.transform if mode == "polynomial" else osc_series
     cfg = InverseConfig(box=osc.plant.box_x_enlarged)
     z, starts = _mixed_targets(t)
-    xs, rs = _gauss_newton(t, z, starts, cfg)
+    xs, rs = _gauss_newton(t, z, starts[:, None], cfg)
+    xs, rs = xs[:, 0], rs[:, 0]
     assert rs[0] > 1.0 and rs[2] <= 1e-8
     for s in range(10):
-        x, r = _gauss_newton(t, z[[s, s]], starts[[s, s]], cfg)
+        x, r = _gauss_newton(t, z[[s, s]], starts[[s, s], None], cfg)
+        x, r = x[:, 0], r[:, 0]
         for j in range(2):
             assert np.array_equal(xs[s], x[j]) and rs[s] == r[j]
 
@@ -372,7 +374,7 @@ def test_gauss_newton_skips_converged_rows(osc, monkeypatch):
         return eval_T(t, x)
 
     monkeypatch.setattr(transform, "eval_T", counting_eval_T)
-    transform._gauss_newton(osc.transform, z, starts, cfg)
+    transform._gauss_newton(osc.transform, z, starts[:, None], cfg)
     # calls: the starts, then (Jacobian probes, ladder) per iteration
     probes, ladder = counts[1::2], counts[2::2]
     assert len(probes) == len(ladder) > 10
@@ -380,6 +382,62 @@ def test_gauss_newton_skips_converged_rows(osc, monkeypatch):
     assert all(b <= a for a, b in zip(probes, probes[1:]))
     assert probes[-1] == 2 and ladder[-1] == 14
     assert all(2 * q == 14 * p for p, q in zip(probes, ladder))
+
+
+@pytest.mark.parametrize("mode", ["polynomial", "series"])
+def test_invert_returns_winner_run_alone(osc, osc_series, mode):
+    # a start that leaves the batch because it cannot win ends where it was
+    # dropped; the start that wins is never dropped, so it ends where it
+    # would running alone, as its own group of one (two copies of it, so
+    # no evaluation is a lone point)
+    from kklio.transform import _best_start, _gauss_newton
+    t = osc.transform if mode == "polynomial" else osc_series
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    starts = cfg.start_points()
+    offset = np.array([0.05, -0.03, 0.02, -0.04])
+    dropped = 0
+    for x_true in ([0.4, 0.2], [-1.3, 0.9], [1.7, -1.5]):
+        z = eval_T(t, np.array([x_true, x_true]))[0] + offset
+        x, r = invert_T(t, z, cfg)
+        xs, rs = _gauss_newton(t, z[None], starts[None], cfg)
+        best = _best_start(xs[0], rs[0])
+        alone_x, alone_r = _gauss_newton(t, np.stack([z] * len(starts)), starts[:, None], cfg)
+        assert np.array_equal(x, alone_x[best, 0]) and r == alone_r[best, 0]
+        assert np.array_equal(xs[0, best], x) and rs[0, best] == r
+        dropped += int(np.sum(np.any(xs[0] != alone_x[:, 0], axis=1)))
+    assert dropped > 0
+
+
+def test_invert_exact_hit_stops_after_one_iteration(osc, monkeypatch):
+    # the warm start meets z exactly, so its sum of squares is 0 and every
+    # other start leaves the batch before its first line search
+    import kklio.transform as transform
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    x_star = np.array([0.4, 0.2])
+    z = eval_T(osc.transform, np.stack([x_star, x_star]))[0]
+    counts = []
+
+    def counting_eval_T(t, x):
+        counts.append(len(x))
+        return eval_T(t, x)
+
+    monkeypatch.setattr(transform, "eval_T", counting_eval_T)
+    x, r = invert_T(osc.transform, z, cfg, warm=x_star)
+    assert np.array_equal(x, x_star) and r == 0.0
+    # calls: the 50 starts, the Jacobian probes of all 50, one ladder of 14
+    assert counts == [50, 2 * 50, 14]
+
+
+def test_invert_keeps_start_that_is_still_far_behind(osc):
+    # criterion 03's point 36: the start heading for the true preimage stays
+    # over n_z times the best sum of squares for several iterations, so a
+    # drop rule on the sum of squares alone returned a point 0.16 away; its
+    # own Gauss-Newton model keeps it
+    cfg = InverseConfig(box=osc.plant.box_x_enlarged)
+    x_true = osc.plant.box_x.sample(np.random.default_rng(123), 100)[36]
+    x, resid = invert_T(osc.transform, eval_T(osc.transform, x_true), cfg)
+    assert np.max(np.abs(x - x_true)) <= 1e-8
+    assert resid <= 1e-8
 
 
 def test_best_start_matches_sorted_keys():
