@@ -6,10 +6,11 @@ Subcommands:
 * ``compare``   -- the same experiment across several gains, as a table
 * ``constants`` -- print the estimated regularity constants of a preset
 
-A flat JSON config file can supply any ``run``/``compare`` option; explicit
-command-line flags win on conflict. Exit codes: 0 success, 2 enclosure
-violation, 3 configuration error, 4 the true state left the enlarged box
-(the guarantees no longer hold from that step on).
+The options are the fields of ``RunConfig``, which checks their values, plus
+``gammas``. A flat JSON config file can supply any ``run``/``compare``
+option; explicit command-line flags win on conflict. Exit codes: 0 success,
+2 enclosure violation, 3 configuration error, 4 the true state left the
+enlarged box (the guarantees no longer hold from that step on).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import presets
 from .harness import RunConfig, compare_gammas, format_comparison, run_experiment
@@ -25,9 +27,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_CONFIG = 3
 EXIT_LEFT_BOX = 4
-
-_RUN_FIELDS = ("preset", "tau", "gamma", "steps", "seed", "noise", "disturbance",
-               "x0", "x0_halfwidth", "window", "out", "svg", "coeffs", "gammas")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -57,84 +56,48 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--gammas", default=None, help="comma-separated gains, e.g. 1.0,0.7")
 
     con = sub.add_parser("constants", help="print estimated constants for a preset")
-    con.add_argument("--preset", default=presets.OSCILLATOR)
-    con.add_argument("--gamma", type=float, default=1.0)
-    con.add_argument("--tau", type=float, default=presets.DEFAULT_TAU)
-    con.add_argument("--seed", type=int, default=presets.ESTIMATION_SEED)
+    con.add_argument("--preset", default=None)
+    con.add_argument("--gamma", type=float, default=None)
+    con.add_argument("--tau", type=float, default=None)
+    con.add_argument("--seed", type=int, default=None)
     return ap
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _run_options(args: argparse.Namespace) -> dict:
+    """The options of the config file and of the flags, the flags winning."""
+    names = {f.name for f in fields(RunConfig)} | {"gammas"}
     merged: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_RUN_FIELDS) - {"gamma"}
+        unknown = set(merged) - names
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
-    for key in (*_RUN_FIELDS, "gamma"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-_NUMBER = (int, float)
-_SCALAR_TYPES = {"preset": str, "tau": _NUMBER, "gamma": _NUMBER, "steps": int, "seed": int,
-                 "x0_halfwidth": _NUMBER, "out": str, "svg": str, "coeffs": str}
-
-
-def _typed(key: str, v, types):
-    # bool is an int subclass, but true/false is never a count or a number here
-    if isinstance(v, bool) or not isinstance(v, types):
-        raise ValueError(f"config key {key!r} has the wrong type: {v!r}")
-    return v
-
-
-def _typed_seq(key: str, v, types, length=None) -> tuple:
-    if not isinstance(v, (list, tuple)) or (length is not None and len(v) != length):
-        raise ValueError(f"config key {key!r} has the wrong type: {v!r}")
-    return tuple(_typed(key, item, types) for item in v)
-
-
-def _run_config(merged: dict) -> RunConfig:
-    kwargs = {}
-    for key, types in _SCALAR_TYPES.items():
-        if merged.get(key) is not None:
-            kwargs[key] = _typed(key, merged[key], types)
-    if merged.get("x0") is not None:
-        kwargs["x0"] = _typed_seq("x0", merged["x0"], _NUMBER)
-    if merged.get("window") is not None:
-        kwargs["window"] = _typed_seq("window", merged["window"], int, length=2)
-    for key in ("noise", "disturbance"):
-        v = merged.get(key)
-        if v is None:
-            continue
-        if not isinstance(v, bool) and v not in ("on", "off"):
-            raise ValueError(f"{key} must be true, false, 'on' or 'off', got {v!r}")
-        kwargs[key] = v if isinstance(v, bool) else v == "on"
-    return RunConfig(**kwargs)
+    merged.update((key, getattr(args, key)) for key in names
+                  if getattr(args, key, None) is not None)
+    # RunConfig checks the types; only the on/off spelling of a toggle is mapped here
+    for f in fields(RunConfig):
+        if isinstance(f.default, bool) and merged.get(f.name) in ("on", "off"):
+            merged[f.name] = merged[f.name] == "on"
+    return {key: v for key, v in merged.items() if v is not None}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        options = _run_options(args)
+        gammas = options.pop("gammas", None)
+        cfg = RunConfig(**options)
         if args.command == "constants":
-            return _cmd_constants(args)
-        merged = _merge_config(args)
-        cfg = _run_config(merged)
+            return _cmd_constants(cfg)
         if args.command == "run":
             return _cmd_run(cfg)
-        gammas = merged.get("gammas")
         if gammas is None:
             raise ValueError("compare needs --gammas")
         if isinstance(gammas, str):
             gammas = [float(g) for g in gammas.split(",") if g]
-        else:
-            gammas = _typed_seq("gammas", gammas, _NUMBER)
         return _cmd_compare(cfg, gammas)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -186,10 +149,10 @@ def _report_left_box(s: dict) -> None:
           "bounds are not guaranteed from there on", file=sys.stderr)
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
-    bundle = presets.build_preset(args.preset, gamma=args.gamma, tau=args.tau, seed=args.seed)
-    c, gs_raw = presets.closed_form_constants(bundle, seed=args.seed)
-    print(f"preset={bundle.name} gamma={args.gamma:g} tau={args.tau:g} seed={args.seed}")
+def _cmd_constants(cfg: RunConfig) -> int:
+    bundle = presets.build_preset(cfg.preset, gamma=cfg.gamma, tau=cfg.tau, seed=cfg.seed)
+    c, gs_raw = presets.closed_form_constants(bundle)
+    print(f"preset={bundle.name} gamma={cfg.gamma:g} tau={cfg.tau:g} seed={cfg.seed}")
     print(f"orders m={c.m} (m_bar={c.m_bar})  n_z={bundle.target.n_z}")
     print(f"c_f={c.c_f:.12g}\nc_h={c.c_h:.12g}\nc_o={c.c_o:.12g}\nc_c={c.c_c:.12g}")
     print(f"c_N={c.c_N:g}")

@@ -17,7 +17,9 @@ non-finite bound counts as a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+import os
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,23 +34,54 @@ from .transform import eval_T, load_coefficients
 CHECK_SLACK = 1e-9
 
 
+def _is_int(v) -> bool:
+    # numpy integers count; bool is an int subclass, but never a count or a seed
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_path(v) -> bool:
+    return v is None or isinstance(v, (str, os.PathLike))
+
+
+def _option(default, check):
+    return field(default=default, metadata={"check": check})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str = presets.OSCILLATOR
-    tau: float = presets.DEFAULT_TAU
-    gamma: float = 1.0
-    steps: int = 500
-    seed: int = presets.ESTIMATION_SEED
-    noise: bool = True
-    disturbance: bool = False
-    x0: tuple = presets.DEFAULT_X0
-    x0_halfwidth: float = presets.DEFAULT_X0_HALFWIDTH
-    window: tuple = (100, 500)
-    out: Optional[str] = None
-    svg: Optional[str] = None
-    coeffs: Optional[str] = None
+    """The options of one run, for the CLI and library callers alike. Each field
+    carries the test its value must pass; lists are stored as tuples. A value
+    of the wrong type or out of range raises ``ValueError`` naming the field.
+    """
+
+    preset: str = _option(presets.OSCILLATOR, lambda v: isinstance(v, str))
+    tau: float = _option(presets.DEFAULT_TAU, _is_real)
+    gamma: float = _option(1.0, _is_real)
+    steps: int = _option(500, _is_int)
+    seed: int = _option(presets.ESTIMATION_SEED, _is_int)
+    noise: bool = _option(True, lambda v: isinstance(v, bool))
+    disturbance: bool = _option(False, lambda v: isinstance(v, bool))
+    x0: tuple[float, ...] = _option(presets.DEFAULT_X0,
+                                    lambda v: isinstance(v, tuple) and all(map(_is_real, v)))
+    x0_halfwidth: float = _option(presets.DEFAULT_X0_HALFWIDTH, _is_real)
+    window: tuple[int, int] = _option((100, 500), lambda v: isinstance(v, tuple)
+                                      and len(v) == 2 and all(map(_is_int, v)))
+    out: Optional[str | os.PathLike] = _option(None, _is_path)
+    svg: Optional[str | os.PathLike] = _option(None, _is_path)
+    coeffs: Optional[str | os.PathLike] = _option(None, _is_path)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, list):
+                v = tuple(v)
+                object.__setattr__(self, f.name, v)
+            if not f.metadata["check"](v):
+                raise ValueError(f"run option {f.name!r} has the wrong type: {v!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
@@ -97,9 +130,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         x0_box=Box(x0_box_lo, x0_box_hi), coeffs=coeffs,
     )
     plant = bundle.plant
-    if not plant.box_x0.contains(x0):
-        raise ValueError("true initial state lies outside the initial box")
-
     w, w_lo, w_hi, d, d_lo, d_hi = _noise_profile(cfg, plant)
     trace = simulate_plant(plant, x0, cfg.steps, w=w, d=d)
     obs_cfg = bundle.observer_cfg
@@ -199,7 +229,9 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int]) -> dict
 
 
 def compare_gammas(cfg: RunConfig, gammas: Sequence[float]) -> list[dict]:
-    """Run the same experiment per gain; rows come back sorted by gain."""
+    """Run the same experiment per gain (a list of numbers); rows come back sorted by gain."""
+    if not isinstance(gammas, (list, tuple)) or not all(map(_is_real, gammas)):
+        raise ValueError(f"gammas must be a list of numbers, got {gammas!r}")
     if not gammas:
         raise ValueError("need at least one gamma")
     results = []
@@ -221,7 +253,8 @@ def format_comparison(summaries: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
-def _suffixed(path: str, gamma: float) -> str:
+def _suffixed(path, gamma: float) -> str:
+    path = os.fspath(path)
     if path.endswith(".csv"):
         return f"{path[:-4]}_gamma{gamma:g}.csv"
     return f"{path}_gamma{gamma:g}"

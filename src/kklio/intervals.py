@@ -86,9 +86,9 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, slack: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
+        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def contains_box(self, other: "Box") -> bool:
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))

@@ -60,6 +60,10 @@ class ObserverConfig:
         if self.gamma != self.transform.target.gamma:
             raise ValueError(f"gamma={self.gamma} does not match the transform's "
                              f"gamma={self.transform.target.gamma}")
+        if self.consts.m != self.transform.target.m:
+            # m_bar sets the margin's exponent: other orders void its guarantee
+            raise ValueError(f"orders m={self.consts.m} do not match the transform's "
+                             f"m={self.transform.target.m}")
         if self.consts.c_L is None or self.consts.c_I is None:
             raise ValueError("constants must provide c_L and c_I")
         plant = self.transform.plant
@@ -148,10 +152,10 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
             raise ValueError("disturbance bounds are not ordered: d_lo > d_hi somewhere")
         delta = cfg.consts.c_L * max(inf_norm(d_hi), inf_norm(d_lo))
         if delta > 0.0:
-            # image of [-delta, delta]^n_z through the frame split
-            widen = delta * np.abs(r_next).sum(axis=1)
-            zhat_hi = zhat_hi + widen
-            zhat_lo = zhat_lo - widen
+            spread = np.full(cfg.transform.target.n_z, delta)
+            widen_lo, widen_hi = interval_image(r_next, -spread, spread)
+            zhat_hi = zhat_hi + widen_hi
+            zhat_lo = zhat_lo + widen_lo
 
     z_lo, z_hi = interval_image(cfg.coord.S(state.k + 1), zhat_lo, zhat_hi)
     return ObserverState(k=state.k + 1, zhat_hi=zhat_hi, zhat_lo=zhat_lo,

@@ -11,7 +11,7 @@ The maps ``f``, ``f_inv`` and ``h`` must be numpy-vectorized: they take
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -96,9 +96,6 @@ class SystemConstants:
     def c(self) -> Optional[float]:
         """Inverse-Lipschitz constant of the transform, ``1 / c_I``."""
         return None if self.c_I is None else 1.0 / self.c_I
-
-    def with_transform_constants(self, c_L: float, c_I: float) -> "SystemConstants":
-        return replace(self, c_L=c_L, c_I=c_I)
 
 
 @dataclass(frozen=True, eq=False)

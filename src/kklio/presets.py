@@ -130,7 +130,7 @@ def siE_disturbance(amp: float = 0.01) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Bundle:
-    """Everything needed to run an observer on a preset plant."""
+    """Everything needed to run an observer on a preset plant, and its estimation seed."""
 
     name: str
     plant: PlantModel
@@ -139,6 +139,7 @@ class Bundle:
     coord: CoordChangeSeq
     consts: SystemConstants
     observer_cfg: ObserverConfig
+    seed: int
 
 
 def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
@@ -164,23 +165,23 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
 
     c_L = estimate_forward_lipschitz(transform, samples=TRANSFORM_SAMPLES, seed=seed + 3)
     c_I = estimate_injectivity(transform, samples=TRANSFORM_SAMPLES, seed=seed + 4)
-    consts = consts.with_transform_constants(c_L=c_L, c_I=c_I)
+    consts = replace(consts, c_L=c_L, c_I=c_I)
 
     observer_cfg = ObserverConfig(transform=transform, coord=coord, consts=consts,
                                   gamma=gamma,
                                   inverse_cfg=InverseConfig(box=plant.box_x_enlarged))
     return Bundle(name=OSCILLATOR, plant=plant, target=target, transform=transform,
-                  coord=coord, consts=consts, observer_cfg=observer_cfg)
+                  coord=coord, consts=consts, observer_cfg=observer_cfg, seed=seed)
 
 
-def closed_form_constants(bundle: Bundle,
-                          seed: int = ESTIMATION_SEED) -> tuple[SystemConstants, float]:
+def closed_form_constants(bundle: Bundle) -> tuple[SystemConstants, float]:
     """The bundle's constants with ``c_o`` estimated, and the uncapped ``gamma_star``.
 
-    ``seed`` is the estimation seed the bundle was built with; ``c_o`` is
-    drawn from the same stream offset as it always was.
+    ``c_o`` is drawn at the bundle's own estimation seed, from the same
+    stream offset as it always was.
     """
-    c_o = estimate_c_o(bundle.plant, bundle.target.m, samples=C_O_SAMPLES, seed=seed + 2)
+    c_o = estimate_c_o(bundle.plant, bundle.target.m, samples=C_O_SAMPLES,
+                       seed=bundle.seed + 2)
     consts = replace(bundle.consts, c_o=c_o)
     return consts, gamma_star(consts, bundle.target, cap=False)
 

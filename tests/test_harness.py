@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -150,6 +151,33 @@ def test_config_rejects_bad_values():
         RunConfig(gamma=0.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("noise", "off"), ("disturbance", 1), ("steps", "3"), ("steps", True), ("seed", 1.5),
+    ("out", 7), ("window", 5), ("x0", [1.0, True]), ("preset", 5),
+])
+def test_config_rejects_wrong_types(field, value):
+    # a truthy "off" used to switch noise on, and out=7 wrote to descriptor 7
+    with pytest.raises(ValueError, match=repr(field)):
+        RunConfig(**{field: value})
+
+
+def test_config_accepts_numpy_ints_lists_and_paths(tmp_path):
+    cfg = RunConfig(seed=np.int64(2313), x0=[1.0, 0.0], out=tmp_path / "t.csv")
+    assert cfg.x0 == (1.0, 0.0) and isinstance(cfg.x0, tuple)
+    assert cfg == RunConfig(x0=(1.0, 0.0), out=tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize("gammas", [[True], ["1.0"], 1.0])
+def test_compare_rejects_wrong_types(gammas):
+    with pytest.raises(ValueError, match="gammas"):
+        compare_gammas(RunConfig(steps=3), gammas)
+
+
+def test_compare_writes_path_outputs(tmp_path):
+    compare_gammas(RunConfig(steps=3, window=(0, 3), out=tmp_path / "t.csv"), [1.0])
+    assert (tmp_path / "t_gamma1.csv").exists()
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -186,6 +214,14 @@ def test_cli_constants(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "c_f=" in out and "gamma_star" in out and "c_I=" in out
+
+
+def test_cli_constants_bytes(capsys):
+    # sha256 of the stdout of `kklio constants --gamma 1.0` (numpy 2.4.6)
+    assert main(["constants", "--gamma", "1.0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "82b40058be2d5a6c119efd77ce654d6ddd5bd835290017628227df37c567e36c")
 
 
 @pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])

@@ -87,6 +87,18 @@ def test_observer_config_derives_margin_and_checks_gamma(osc):
         ObserverConfig(**kw, margin_c_over_gamma=1.0)
 
 
+def test_observer_config_checks_orders(osc):
+    from dataclasses import replace
+
+    from kklio import ObserverConfig
+    cfg = osc.observer_cfg
+    # m_bar is the margin's exponent, so other orders would give another margin
+    with pytest.raises(ValueError, match="orders"):
+        ObserverConfig(transform=cfg.transform, coord=cfg.coord,
+                       consts=replace(cfg.consts, m=(1,)), gamma=cfg.gamma,
+                       inverse_cfg=cfg.inverse_cfg)
+
+
 def test_observer_config_rejects_frames_of_other_target(osc):
     from kklio import CanonicalBlock, ObserverConfig, build_coord_change
     from kklio.presets import DEFAULT_LAMBDAS

@@ -35,6 +35,7 @@ def test_build_leaves_closed_form_constants_out(monkeypatch):
 def test_closed_form_constants_looks_up_module_estimator(monkeypatch):
     # the benchmark tracer wraps kklio.presets.estimate_c_o, so the on-demand
     # function must call it through the module attribute, with the old draw
+    # at the seed the bundle was built with
     b = build_oscillator(gamma=1.0, seed=5)
     calls = []
 
@@ -43,7 +44,7 @@ def test_closed_form_constants_looks_up_module_estimator(monkeypatch):
         return 0.25
 
     monkeypatch.setattr(kklio.presets, "estimate_c_o", fake)
-    consts, gs_raw = closed_form_constants(b, seed=5)
+    consts, gs_raw = closed_form_constants(b)
     assert calls == [(b.plant, (4,), kklio.presets.C_O_SAMPLES, 7)]
     assert consts.c_o == 0.25
     assert consts == dataclasses.replace(b.consts, c_o=0.25)
