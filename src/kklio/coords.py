@@ -40,7 +40,7 @@ class CanonicalBlock:
         if self.kind == "rotation" and not self.rho > 0.0:
             raise ValueError("rotation block needs rho > 0")
         if not self.modulus < 1.0:
-            raise ValueError(f"block modulus {self.modulus} is not < 1")
+            raise ValueError(f"block modulus {self.modulus} is not < 1: the block is not Schur")
 
     @staticmethod
     def positive_real(lam: float) -> "CanonicalBlock":
@@ -53,10 +53,6 @@ class CanonicalBlock:
     @staticmethod
     def rotation(rho: float, theta: float) -> "CanonicalBlock":
         return CanonicalBlock("rotation", rho=rho, theta=theta)
-
-    @property
-    def dim(self) -> int:
-        return 2 if self.kind == "rotation" else 1
 
     @property
     def modulus(self) -> float:
@@ -98,7 +94,6 @@ class CoordChangeSeq:
     gamma: float
     Lambda: np.ndarray
     sigma: float
-    n: int
 
     def R(self, k: int) -> np.ndarray:
         if k < 0:
@@ -141,8 +136,7 @@ def build_coord_change(blocks, gamma: float) -> CoordChangeSeq:
             )
     lam = _blockdiag([b.lambda_block(gamma) for b in blocks])
     sigma = max(b.sup_frame_norm() for b in blocks) * 2.0
-    return CoordChangeSeq(blocks=blocks, gamma=gamma, Lambda=lam,
-                          sigma=sigma, n=sum(b.dim for b in blocks))
+    return CoordChangeSeq(blocks=blocks, gamma=gamma, Lambda=lam, sigma=sigma)
 
 
 def assemble_target_matrix(blocks, gamma: float) -> np.ndarray:

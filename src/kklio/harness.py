@@ -86,6 +86,10 @@ class RunConfig:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
+        if not 0.0 <= self.x0_halfwidth < np.inf:
+            raise ValueError("run option 'x0_halfwidth' must be finite and >= 0")
+        if self.window[0] > self.window[1]:
+            raise ValueError(f"run option 'window' must be ordered, got {self.window!r}")
 
 
 @dataclass(frozen=True, eq=False)

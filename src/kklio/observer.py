@@ -40,6 +40,8 @@ class ObserverConfig:
     ``margin_c_over_gamma`` is ``c / gamma**(m_bar-1)``, the inverse-Lipschitz
     coefficient of the transform. ``gamma`` must be the transform's own gain,
     since a larger one would shrink that margin below what is guaranteed.
+    ``coord`` must be built from the target's own blocks and gain, since
+    other frames do not turn its matrix into ``coord.Lambda``.
     ``recovery_variant`` accepts only ``"min_max"`` (the intersection rule);
     the keyword remains because the benchmark worker (``perfbench/worker.py``)
     passes it. The inversion box must lie inside the plant's enlarged box,
@@ -73,11 +75,9 @@ class ObserverConfig:
                              "contain the invariant box")
         object.__setattr__(self, "margin_c_over_gamma",
                            self.consts.c / self.gamma ** (self.consts.m_bar - 1))
-        a = self.transform.target.A
-        for k in range(3):
-            defect = np.max(np.abs(self.coord.R(k + 1) @ a @ self.coord.S(k) - self.coord.Lambda))
-            if defect > 1e-9:
-                raise ValueError("coordinate frames do not match the target matrix")
+        target = self.transform.target
+        if self.coord.blocks != target.blocks or self.coord.gamma != target.gamma:
+            raise ValueError("coordinate frames do not match the target's blocks and gamma")
 
 
 @dataclass(frozen=True, eq=False)

@@ -155,10 +155,10 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
     plant = make_oscillator_plant(tau, x0_box)
-    target = TargetSystem(blocks=((np.diag(DEFAULT_LAMBDAS), np.ones(len(DEFAULT_LAMBDAS))),),
-                          gamma=gamma)
+    blocks = tuple(CanonicalBlock.positive_real(l) for l in DEFAULT_LAMBDAS)
+    target = TargetSystem(channels=((blocks, np.ones(len(blocks))),), gamma=gamma)
     transform = make_polynomial_transform(plant, target, POLY_BASIS, coeffs=coeffs)
-    coord = build_coord_change([CanonicalBlock.positive_real(l) for l in DEFAULT_LAMBDAS], gamma)
+    coord = build_coord_change(blocks, gamma)
 
     c_f, c_h = estimate_lipschitz(plant, samples=LIPSCHITZ_SAMPLES, seed=seed)
     consts = SystemConstants(c_f=c_f, c_h=c_h, c_o=None, c_c=target.c_c(), m=target.m)

@@ -2,8 +2,9 @@
 
 The transform ``T`` maps plant states into coordinates where the dynamics
 are linear: ``T(f(x)) = A @ T(x) + B @ h(x)`` with ``A = gamma * blockdiag``
-of user-chosen Schur blocks and ``B`` the block-diagonal stack of the input
-vectors. Two evaluation modes are provided:
+of user-chosen canonical blocks (``coords.CanonicalBlock``, the blocks the
+coordinate frames are built from) and ``B`` the block-diagonal stack of the
+input vectors. Two evaluation modes are provided:
 
 * ``polynomial`` -- when the dynamics are affine and the output map lies in
   the span of a monomial basis closed under composition with the dynamics,
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .coords import CanonicalBlock, assemble_target_matrix
 from .intervals import Box, inf_norm, mat_inf_norm
 from .plant import PlantModel, SystemConstants
 from .sampling import pair_ratio_extremum
@@ -46,68 +48,64 @@ _FD_STEP = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class TargetSystem:
-    """Per-channel target blocks ``(A_i, b_i)`` plus the scalar gain."""
+    """Per-channel ``(blocks, b_i)``: canonical blocks and input vector, plus the gain.
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    The rest is derived: ``pairs`` holds the unscaled ``(A_i, b_i)``, ``A`` is
+    ``gamma * blockdiag`` of ``blocks`` (all channels' blocks, the sequence the
+    frames are built from) and ``B`` stacks the ``b_i``.
+    """
+
+    channels: tuple[tuple[tuple[CanonicalBlock, ...], np.ndarray], ...]
     gamma: float
 
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
     A: np.ndarray = field(init=False, repr=False)
     B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = []
-        for a_i, b_i in self.blocks:
-            a_i = np.atleast_2d(np.asarray(a_i, dtype=float))
-            b_i = np.atleast_1d(np.asarray(b_i, dtype=float))
-            if a_i.shape[0] != a_i.shape[1] or b_i.shape != (a_i.shape[0],):
-                raise ValueError("each block needs a square A_i and a matching b_i")
-            if np.max(np.abs(np.linalg.eigvals(a_i))) >= 1.0:
-                raise ValueError("target block is not Schur")
-            ctrb = _ctrb(a_i, b_i)
-            svals = np.linalg.svd(ctrb, compute_uv=False)
+        channels = tuple((tuple(blocks), np.atleast_1d(np.asarray(b_i, dtype=float)))
+                         for blocks, b_i in self.channels)
+        pairs = []
+        for blocks, b_i in channels:
+            if not blocks or not all(isinstance(b, CanonicalBlock) for b in blocks):
+                raise ValueError("each channel needs one or more CanonicalBlocks")
+            a_i = assemble_target_matrix(blocks, 1.0)
+            if b_i.shape != (a_i.shape[0],):
+                raise ValueError("each channel needs a b_i matching its blocks' dimension")
+            svals = np.linalg.svd(_ctrb(a_i, b_i), compute_uv=False)
             if svals[-1] <= _CTRB_RANK_RTOL * svals[0]:
                 raise ValueError("target block pair is not controllable")
-            blocks.append((a_i, b_i))
+            pairs.append((a_i, b_i))
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        object.__setattr__(self, "blocks", tuple(blocks))
-        n_z = sum(a.shape[0] for a, _ in blocks)
-        a_full = np.zeros((n_z, n_z))
-        b_full = np.zeros((n_z, len(blocks)))
-        i = 0
-        for ch, (a_i, b_i) in enumerate(blocks):
-            d = a_i.shape[0]
-            a_full[i:i + d, i:i + d] = self.gamma * a_i
-            b_full[i:i + d, ch] = b_i
-            i += d
-        object.__setattr__(self, "A", a_full)
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "A", assemble_target_matrix(self.blocks, self.gamma))
+        b_full = np.zeros((self.n_z, len(pairs)))
+        rows = np.cumsum((0,) + self.m)
+        for ch, (_, b_i) in enumerate(pairs):
+            b_full[rows[ch]:rows[ch + 1], ch] = b_i
         object.__setattr__(self, "B", b_full)
+
+    @property
+    def blocks(self) -> tuple[CanonicalBlock, ...]:
+        return tuple(b for blocks, _ in self.channels for b in blocks)
 
     @property
     def n_z(self) -> int:
         return self.A.shape[0]
 
     @property
-    def n_y(self) -> int:
-        return len(self.blocks)
-
-    @property
     def m(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a, _ in self.blocks)
+        return tuple(a.shape[0] for a, _ in self.pairs)
 
     @property
     def m_bar(self) -> int:
         return max(self.m)
 
-    def block_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Max-norm sizes ``(||A_i||, ||b_i||)`` per block."""
-        a = np.array([mat_inf_norm(a_i) for a_i, _ in self.blocks])
-        b = np.array([inf_norm(b_i) for _, b_i in self.blocks])
-        return a, b
-
     def c_c(self) -> float:
         """Exact lower bound on the reciprocal inverse-controllability norm."""
-        worst = max(mat_inf_norm(np.linalg.inv(_ctrb(a, b))) for a, b in self.blocks)
+        worst = max(mat_inf_norm(np.linalg.inv(_ctrb(a, b))) for a, b in self.pairs)
         return 1.0 / worst
 
 
@@ -116,6 +114,17 @@ def _ctrb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for _ in range(a.shape[0] - 1):
         cols.append(a @ cols[-1])
     return np.stack(cols, axis=1)
+
+
+def _norm_terms(consts: SystemConstants, target: TargetSystem) -> tuple[float, ...]:
+    """``(a_max, b_max, af, tail)`` of the closed-form constants, per ``(A_i, b_i)``."""
+    a_norms = np.array([mat_inf_norm(a_i) for a_i, _ in target.pairs])
+    b_norms = np.array([inf_norm(b_i) for _, b_i in target.pairs])
+    a_max = float(np.max(a_norms))
+    b_max = float(np.max(b_norms))
+    af = a_max * consts.c_f
+    tail = float(np.max((a_norms * consts.c_f) ** np.array(target.m)))
+    return a_max, b_max, af, tail
 
 
 def gamma_star(consts: SystemConstants, target: TargetSystem, cap: bool = True) -> float:
@@ -128,11 +137,7 @@ def gamma_star(consts: SystemConstants, target: TargetSystem, cap: bool = True) 
     """
     if consts.c_o is None:
         raise ValueError("c_o is not set: estimate it with estimate_c_o first")
-    a_norms, b_norms = target.block_norms()
-    a_max = float(np.max(a_norms))
-    b_max = float(np.max(b_norms))
-    af = a_max * consts.c_f
-    tail = float(np.max((a_norms * consts.c_f) ** np.array(target.m)))
+    a_max, b_max, af, tail = _norm_terms(consts, target)
     t1 = 1.0 / a_max
     t2 = 1.0 / af
     t3 = consts.c_c * consts.c_o / (af * consts.c_c * consts.c_o
@@ -155,11 +160,7 @@ def derived_constants(consts: SystemConstants, target: TargetSystem,
         raise ValueError(
             f"injectivity not guaranteed: gamma={gamma} is not below gamma*={raw:.6g}"
         )
-    a_norms, b_norms = target.block_norms()
-    a_max = float(np.max(a_norms))
-    b_max = float(np.max(b_norms))
-    af = a_max * consts.c_f
-    tail = float(np.max((a_norms * consts.c_f) ** np.array(target.m)))
+    _, b_max, af, tail = _norm_terms(consts, target)
     c_L = b_max * consts.c_h * consts.c_f / (1.0 - gamma * af)
     c_I = consts.c_N * (consts.c_c * consts.c_o
                         - b_max * consts.c_h * consts.c_f * gamma * tail / (1.0 - gamma * af))
@@ -217,10 +218,6 @@ class KklTransform:
         else:
             object.__setattr__(self, "series_n",
                                _series_length(self.target, self.plant, self.series_tol))
-
-    @property
-    def n_z(self) -> int:
-        return self.target.n_z
 
 
 def eval_T(t: KklTransform, x) -> np.ndarray:
@@ -300,7 +297,7 @@ def solve_poly_T(plant: PlantModel, target: TargetSystem,
 
     n_b = len(basis)
     rows = []
-    for ch, (a_i, b_i) in enumerate(target.blocks):
+    for ch, (a_i, b_i) in enumerate(target.pairs):
         m_i = a_i.shape[0]
         lhs = np.kron(np.eye(m_i), k_mat) - target.gamma * np.kron(a_i, np.eye(n_b))
         rhs = np.outer(b_i, h_coeffs[ch]).reshape(-1)

@@ -161,6 +161,22 @@ def test_config_rejects_wrong_types(field, value):
         RunConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("window", (5, 1)), ("x0_halfwidth", -1.0), ("x0_halfwidth", float("nan")),
+    ("x0_halfwidth", float("inf")),
+])
+def test_config_rejects_out_of_range(field, value):
+    # a reversed window used to fall back to the run's second half, and a
+    # negative half-width failed deep in Box without naming the option
+    with pytest.raises(ValueError, match=repr(field)):
+        RunConfig(**{field: value})
+
+
+def test_config_accepts_point_box_and_one_step_window():
+    cfg = RunConfig(x0_halfwidth=0.0, window=(3, 3))
+    assert cfg.x0_halfwidth == 0.0 and cfg.window == (3, 3)
+
+
 def test_config_accepts_numpy_ints_lists_and_paths(tmp_path):
     cfg = RunConfig(seed=np.int64(2313), x0=[1.0, 0.0], out=tmp_path / "t.csv")
     assert cfg.x0 == (1.0, 0.0) and isinstance(cfg.x0, tuple)
@@ -216,12 +232,15 @@ def test_cli_constants(capsys):
     assert "c_f=" in out and "gamma_star" in out and "c_I=" in out
 
 
-def test_cli_constants_bytes(capsys):
-    # sha256 of the stdout of `kklio constants --gamma 1.0` (numpy 2.4.6)
-    assert main(["constants", "--gamma", "1.0"]) == 0
+@pytest.mark.parametrize("gamma,digest", [
+    ("1.0", "82b40058be2d5a6c119efd77ce654d6ddd5bd835290017628227df37c567e36c"),
+    ("0.7", "8ec865785d87e07efa38b383673b72931f9d46cbdaaa99057fcbcea842b95622"),
+], ids=["1.0", "0.7"])
+def test_cli_constants_bytes(capsys, gamma, digest):
+    # sha256 of the stdout of `kklio constants --gamma <gamma>` (numpy 2.4.6)
+    assert main(["constants", "--gamma", gamma]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "82b40058be2d5a6c119efd77ce654d6ddd5bd835290017628227df37c567e36c")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])
@@ -273,12 +292,12 @@ def test_cli_config_variant_key_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("command,config", [
     ("run", {"noise": "yes"}), ("run", {"disturbance": 1}), ("run", {"steps": "3"}),
     ("run", {"window": 5}), ("run", {"x0": [1.0, True]}), ("run", 12),
-    ("compare", {"gammas": 1.0}),
+    ("compare", {"gammas": 1.0}), ("run", {"window": [5, 1]}),
 ], ids=["noise-yes", "disturbance-1", "steps-str", "window-int", "x0-bool", "not-object",
-        "gammas-number"])
+        "gammas-number", "window-reversed"])
 def test_cli_config_wrong_type_exit_3(tmp_path, capsys, command, config):
-    # a value of the wrong type is a configuration error, not a traceback
-    # and not a quietly switched-off toggle
+    # a value of the wrong type, or a reversed window, is a configuration
+    # error, not a traceback and not a quietly switched-off toggle or window
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path)]) == 3

@@ -111,6 +111,16 @@ def test_observer_config_rejects_frames_of_other_target(osc):
                        gamma=cfg.gamma, inverse_cfg=cfg.inverse_cfg)
 
 
+def test_observer_config_rejects_frames_at_other_gamma(osc):
+    from kklio import ObserverConfig, build_coord_change
+    cfg = osc.observer_cfg
+    # the target's own blocks, framed for another gain, give another Lambda
+    coord = build_coord_change(osc.target.blocks, 0.7)
+    with pytest.raises(ValueError, match="coordinate frames do not match"):
+        ObserverConfig(transform=cfg.transform, coord=coord, consts=cfg.consts,
+                       gamma=cfg.gamma, inverse_cfg=cfg.inverse_cfg)
+
+
 def test_observer_config_checks_inversion_box(osc):
     from kklio import InverseConfig, ObserverConfig
     cfg = osc.observer_cfg

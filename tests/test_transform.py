@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from kklio import (Box, InverseConfig, PlantModel, SystemConstants, TargetSystem,
+from kklio import (Box, CanonicalBlock, InverseConfig, PlantModel, SystemConstants, TargetSystem,
                    derived_constants, estimate_forward_lipschitz, estimate_injectivity,
                    eval_T, eval_T_poly, eval_T_series, gamma_star, invert_T,
                    load_coefficients, make_polynomial_transform, make_series_transform,
@@ -15,8 +17,14 @@ def unit_consts(m=(1,)):
     return SystemConstants(c_f=1.0, c_h=1.0, c_o=1.0, c_c=1.0, m=m)
 
 
+def real_target(lams, b, gamma):
+    """One output channel of positive real blocks with the eigenvalues ``lams``."""
+    return TargetSystem(channels=(([CanonicalBlock.positive_real(l) for l in lams], b),),
+                        gamma=gamma)
+
+
 def single_block_target(lam=0.5, gamma=0.5):
-    return TargetSystem(blocks=((np.array([[lam]]), np.array([1.0])),), gamma=gamma)
+    return real_target((lam,), [1.0], gamma)
 
 
 def linear_plant(f_mat, h_mat, lo=-2.0, hi=2.0, enlarge=1.0):
@@ -49,7 +57,7 @@ def test_gamma_star_capped_at_one():
         c = SystemConstants(c_f=rng.uniform(0.1, 3), c_h=rng.uniform(0.1, 3),
                             c_o=rng.uniform(0.1, 3), c_c=rng.uniform(0.1, 3),
                             m=(2,))
-        t = TargetSystem(blocks=((np.diag([0.3, 0.6]), np.array([1.0, 0.5])),), gamma=0.5)
+        t = real_target((0.3, 0.6), [1.0, 0.5], gamma=0.5)
         assert 0.0 < gamma_star(c, t) <= 1.0
 
 
@@ -149,11 +157,11 @@ def test_oscillator_coefficients_regression():
 
 
 def test_solve_poly_nondiagonal_block():
-    # companion-form block couples the rows; the block solve must still
+    # a rotation block couples the rows; the block solve must still
     # produce an exact solution of the linear-in-target identity
     plant = make_oscillator_plant()
-    a_block = np.array([[0.0, 1.0], [-0.08, 0.6]])  # eigenvalues 0.2, 0.4
-    target = TargetSystem(blocks=((a_block, np.array([0.0, 1.0])),), gamma=0.9)
+    target = TargetSystem(channels=(([CanonicalBlock.rotation(0.5, 0.7)], [0.0, 1.0]),),
+                          gamma=0.9)
     t = make_polynomial_transform(plant, target, POLY_BASIS)
     pts = plant.box_x.sample(np.random.default_rng(8), 500)
     assert transform_residual(t, pts) <= 1e-10
@@ -162,10 +170,11 @@ def test_solve_poly_nondiagonal_block():
 def test_solve_poly_two_output_channels():
     f_mat = np.array([[1.0, -0.1], [0.1, 0.99]])
     plant = linear_plant(f_mat, np.eye(2), enlarge=1.5)
+    pos = CanonicalBlock.positive_real
     target = TargetSystem(
-        blocks=(
-            (np.array([[0.3]]), np.array([1.0])),
-            (np.diag([0.2, 0.5]), np.array([1.0, 1.0])),
+        channels=(
+            ([pos(0.3)], [1.0]),
+            ([pos(0.2), pos(0.5)], [1.0, 1.0]),
         ),
         gamma=1.0,
     )
@@ -199,7 +208,7 @@ def test_series_matches_sylvester_oracle():
     f_mat = 1.25 * np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     h_mat = np.array([[1.0, 0.5]])
     plant = linear_plant(f_mat, h_mat, enlarge=1.5)
-    target = TargetSystem(blocks=((np.diag([0.3, 0.5]), np.array([1.0, 1.0])),), gamma=1.0)
+    target = real_target((0.3, 0.5), [1.0, 1.0], gamma=1.0)
     tol = 1e-9
     t = make_series_transform(plant, target, series_tol=tol)
     p_mat = scipy.linalg.solve_sylvester(target.A, -f_mat, -target.B @ h_mat)
@@ -226,10 +235,10 @@ def test_series_mode_residual_within_tolerance():
 
 def test_series_rejects_noncontractive_scaled_matrix():
     plant = linear_plant(np.array([[2.0, 0.0], [0.0, 2.0]]), [[1.0, 0.0]])
-    # Schur block (eigenvalues 0.5) whose max-norm is 1.25: the scaled target
-    # matrix is not a contraction, so the tail bound cannot be applied
-    a_block = np.array([[0.5, 0.75], [0.0, 0.5]])
-    target = TargetSystem(blocks=((a_block, np.array([0.0, 1.0])),), gamma=1.0)
+    # Schur block (modulus 0.9) whose max-norm is 0.9*sqrt(2) = 1.27: the scaled
+    # target matrix is not a contraction, so the tail bound cannot be applied
+    target = TargetSystem(channels=(([CanonicalBlock.rotation(0.9, math.pi / 4)], [0.0, 1.0]),),
+                          gamma=1.0)
     t = make_series_transform(plant, target)
     with pytest.raises(ValueError, match="series"):
         eval_T_series(t, np.zeros(2))
@@ -519,15 +528,39 @@ def test_coefficients_roundtrip(tmp_path, osc):
 
 def test_target_system_validation():
     with pytest.raises(ValueError, match="Schur"):
-        TargetSystem(blocks=((np.array([[1.0]]), np.array([1.0])),), gamma=0.5)
+        real_target((1.0,), [1.0], gamma=0.5)
     with pytest.raises(ValueError, match="controllable"):
-        TargetSystem(blocks=((np.diag([0.5, 0.5]), np.array([0.0, 0.0])),), gamma=0.5)
+        real_target((0.5, 0.5), [0.0, 0.0], gamma=0.5)
     with pytest.raises(ValueError, match="gamma"):
-        TargetSystem(blocks=((np.array([[0.5]]), np.array([1.0])),), gamma=1.5)
+        real_target((0.5,), [1.0], gamma=1.5)
+    with pytest.raises(ValueError, match="b_i"):
+        real_target((0.5, 0.2), [1.0], gamma=0.5)
+    for blocks in ([], [np.array([[0.5]])]):
+        with pytest.raises(ValueError, match="CanonicalBlocks"):
+            TargetSystem(channels=((blocks, [1.0]),), gamma=0.5)
+
+
+def test_target_matrices_assembled_from_blocks():
+    # two channels mixing the three block kinds; A and B are what the blocks
+    # give when placed by hand, and the frames' block order is kept
+    neg = CanonicalBlock.negative_real(-0.5)
+    rot = CanonicalBlock.rotation(0.8, 0.6)
+    pos = CanonicalBlock.positive_real(0.3)
+    t = TargetSystem(channels=(([neg, rot], [1.0, 0.0, 1.0]), ([pos], [2.0])), gamma=0.9)
+    c, s = math.cos(0.6), math.sin(0.6)
+    a = np.zeros((4, 4))
+    a[0, 0] = 0.9 * -0.5
+    a[1:3, 1:3] = 0.9 * (0.8 * np.array([[c, -s], [s, c]]))
+    a[3, 3] = 0.9 * 0.3
+    b = np.zeros((4, 2))
+    b[:3, 0] = [1.0, 0.0, 1.0]
+    b[3, 1] = 2.0
+    assert np.array_equal(t.A, a) and np.array_equal(t.B, b)
+    assert t.blocks == (neg, rot, pos) and t.m == (3, 1) and t.n_z == 4
 
 
 def test_target_c_c_vandermonde():
-    t = TargetSystem(blocks=((np.diag([0.1, 0.2, 0.3, 0.4]), np.ones(4)),), gamma=1.0)
+    t = real_target((0.1, 0.2, 0.3, 0.4), np.ones(4), gamma=1.0)
     ctrb = np.vander(np.array([0.1, 0.2, 0.3, 0.4]), 4, increasing=True)
     oracle = 1.0 / np.max(np.abs(np.linalg.inv(ctrb)).sum(axis=1))
     assert t.c_c() == pytest.approx(oracle, rel=1e-12)
