@@ -90,6 +90,10 @@ class RunConfig:
             raise ValueError("run option 'x0_halfwidth' must be finite and >= 0")
         if self.window[0] > self.window[1]:
             raise ValueError(f"run option 'window' must be ordered, got {self.window!r}")
+        n_x = len(presets.DEFAULT_X0)  # the oscillator's state dimension
+        if self.preset == presets.OSCILLATOR and len(self.x0) != n_x:
+            raise ValueError(f"run option 'x0' needs {n_x} entries, the state dimension of "
+                             f"preset {self.preset!r}; got {len(self.x0)}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,11 @@ input vectors. Two evaluation modes are provided:
 
 The left inverse is realized as a box-constrained multi-start Gauss-Newton
 least-squares solve; it always returns the best point found together with
-its residual, so callers can account for inversion quality explicitly.
+its residual, so callers can account for inversion quality explicitly. Its
+Jacobian is exact in polynomial mode (a table of derivative monomials built
+with the transform) and a forward difference in series mode; a start stops
+once it meets the target or once its Gauss-Newton model promises less than
+the rounding of its sum of squares.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ _SUP_OUTPUT_INFLATION = 1.2
 _SERIES_SUP_GRID = 10000
 
 # Gauss-Newton inversion: lattice starts per axis, iteration cap, residual
-# tolerance, and finite-difference step relative to max(1, |x|)
+# tolerance, series-mode finite-difference step relative to max(1, |x|), and
+# the model decrease, relative to the sum of squares, below which a start stops
 _LATTICE_PER_AXIS = 7
 _MAX_ITERS = 60
 _TOL = 1e-10
 _FD_STEP = 1e-6
+_STOP_DECREASE = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +199,10 @@ class KklTransform:
 
     In series mode ``series_n`` is the truncation length, fixed when the
     transform is built; it stays ``None`` when the scaled target matrix is
-    not a contraction, and evaluation then raises.
+    not a contraction, and evaluation then raises. In polynomial mode
+    ``jac_basis`` and ``jac_coeffs`` hold the Jacobian: the derivative
+    monomials and a ``(len(jac_basis), n_z * n_x)`` table, built from
+    ``basis`` and ``poly_coeffs`` (see ``jacobian_poly``).
     """
 
     mode: str
@@ -203,6 +212,8 @@ class KklTransform:
     poly_coeffs: Optional[np.ndarray] = None
     basis: Optional[tuple[tuple[int, ...], ...]] = None
     series_n: Optional[int] = field(init=False, default=None, repr=False)
+    jac_basis: Optional[tuple[tuple[int, ...], ...]] = field(init=False, default=None, repr=False)
+    jac_coeffs: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("series", "polynomial"):
@@ -213,8 +224,14 @@ class KklTransform:
             coeffs = np.asarray(self.poly_coeffs, dtype=float)
             if coeffs.shape != (self.target.n_z, len(self.basis)):
                 raise ValueError("coefficient table shape does not match target/basis")
+            basis = tuple(tuple(e) for e in self.basis)
+            if any(len(e) != self.plant.n_x for e in basis):
+                raise ValueError("basis exponent tuples must have length n_x")
+            jac_basis, jac_coeffs = _jacobian_table(basis, coeffs, self.plant.n_x)
             object.__setattr__(self, "poly_coeffs", coeffs)
-            object.__setattr__(self, "basis", tuple(tuple(e) for e in self.basis))
+            object.__setattr__(self, "basis", basis)
+            object.__setattr__(self, "jac_basis", jac_basis)
+            object.__setattr__(self, "jac_coeffs", jac_coeffs)
         else:
             object.__setattr__(self, "series_n",
                                _series_length(self.target, self.plant, self.series_tol))
@@ -228,6 +245,37 @@ def eval_T_poly(t: KklTransform, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     mono = _monomials(x, t.basis)
     return mono @ t.poly_coeffs.T
+
+
+def jacobian_poly(t: KklTransform, x) -> np.ndarray:
+    """Exact Jacobian of a polynomial transform, shape ``x.shape[:-1] + (n_z, n_x)``.
+
+    One pass over the derivative monomials and one product with the table.
+    The product is an ``einsum``, not a matmul: a lone point's matmul goes to
+    BLAS gemv, which rounds differently, and each point must get the same
+    bits in any batch.
+    """
+    x = np.asarray(x, dtype=float)
+    mono = _monomials(x, t.jac_basis)
+    jac = np.einsum("...k,kq->...q", mono, t.jac_coeffs)
+    return jac.reshape(x.shape[:-1] + (t.target.n_z, x.shape[-1]))
+
+
+def _jacobian_table(basis, coeffs: np.ndarray, n_x: int):
+    """Derivative monomials of ``basis`` and the ``(K, n_z * n_x)`` table of ``J``.
+
+    ``d x^e / d x_i = e_i x^(e - u_i)``, so column ``r * n_x + i`` of the
+    table holds ``e_i * coeffs[r, j]`` in the row of the monomial
+    ``e_j - u_i``; no two basis monomials share that row and column.
+    """
+    derivs = [(e[:i] + (p - 1,) + e[i + 1:], i, p * coeffs[:, j])
+              for j, e in enumerate(basis) for i, p in enumerate(e) if p]
+    jac_basis = tuple(dict.fromkeys(d for d, _, _ in derivs))
+    n_z = coeffs.shape[0]
+    table = np.zeros((len(jac_basis), n_z, n_x))
+    for d, i, col in derivs:
+        table[jac_basis.index(d), :, i] = col
+    return jac_basis, table.reshape(len(jac_basis), n_z * n_x)
 
 
 def eval_T_series(t: KklTransform, x) -> np.ndarray:
@@ -427,10 +475,12 @@ def _monomials(x: np.ndarray, basis) -> np.ndarray:
 def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
     """Best box-constrained preimage of ``z`` under the transform.
 
-    Multi-start damped Gauss-Newton with finite-difference Jacobians; the
-    warm start (when given) and all lattice starts iterate in one batch,
-    which a start leaves once it converges, stalls, or can no longer be the
-    returned point (see ``_gauss_newton``). Ties between equally good
+    Multi-start damped Gauss-Newton, with the exact Jacobian in polynomial
+    mode and forward differences in series mode; the warm start (when
+    given) and all lattice starts iterate in one batch, which a start leaves
+    once it meets ``z``, once its model promises no decrease beyond
+    rounding, once it stalls, or once it can no longer be the returned point
+    (see ``_gauss_newton``). Ties between equally good
     minimizers break on smaller max-norm, then lexicographically, so
     results are deterministic. Never raises: the residual reports the fit
     quality.
@@ -481,78 +531,100 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
     ``z`` has shape ``(p, n_z)`` and ``starts`` ``(p, n_per, n_x)``; the end
     points come back as ``(p, n_per, n_x)`` with their max-norm residuals
     ``(p, n_per)``. Each iteration runs only on the active starts. A start
-    leaves the batch once it converges or stalls, or once it can no longer
-    be its target's returned point: with ``best`` the smallest current sum
-    of squares among the starts of its target, both its own sum of squares
-    ``f`` and the linearised minimum ``||res + J d||^2`` of its full
-    Gauss-Newton step ``d`` exceed ``n_z * best``. Its max-norm residual,
-    at least ``sqrt(f / n_z)``, then exceeds ``sqrt(best)``, which bounds
-    the final max-norm residual of that best start, since no start's sum of
-    squares ever grows. While a start is in the batch its iterates do not
-    depend on the other starts, and whether it stays depends only on the
-    starts of its own target, so each target's end points do not depend on
-    the other targets, as long as ``eval_T`` gives a point the same bits in
-    any batch: a lone polynomial point goes through a one-row matmul (BLAS
-    gemv) that rounds differently, and the probes of a lone active start
-    are one point when ``n_x == 1``.
+    leaves the batch at its current point:
+
+    * before its Jacobian, once its max-norm residual is at most ``_TOL``;
+    * before its line search, once the decrease ``f - ||res + J d||^2``
+      that the linear model of its full Gauss-Newton step ``d`` promises
+      is at most ``_STOP_DECREASE * f``, where ``f`` is its sum of squares:
+      below that, the decrease is within the rounding of ``f`` itself;
+    * before its line search, once it can no longer be its target's
+      returned point: with ``best`` the smallest current sum of squares
+      among the starts of its target, both ``f`` and ``||res + J d||^2``
+      exceed ``n_z * best``. Its max-norm residual, at least
+      ``sqrt(f / n_z)``, then exceeds ``sqrt(best)``, which bounds the final
+      max-norm residual of that best start, since no start's sum of squares
+      ever grows;
+    * after its line search, once no step of the ladder lowers ``f`` or the
+      accepted step moves it by rounding only.
+
+    The Jacobian is exact in polynomial mode (``jacobian_poly``) and a
+    forward difference in series mode. While a start is in the batch its
+    iterates do not depend on the other starts, and whether it stays
+    depends only on the starts of its own target, so each target's end
+    points do not depend on the other targets, as long as ``eval_T`` and
+    the Jacobian give a point the same bits in any batch: a lone polynomial
+    point goes through a one-row matmul (BLAS gemv) that rounds
+    differently, and the series probes of a lone active start are one point
+    when ``n_x == 1``.
     """
     p, n_per, n_x = starts.shape
     n_z = z.shape[1]
     lo, hi = cfg.box.lo, cfg.box.hi
-    x = np.clip(np.asarray(starts, dtype=float).reshape(-1, n_x), lo, hi)
+    x = np.minimum(np.maximum(np.asarray(starts, dtype=float).reshape(-1, n_x), lo), hi)
     z = np.repeat(z, n_per, axis=0)
+    res = eval_T(t, x) - z
+    f = (res * res).sum(axis=1)  # each start's latest sum of squares, for its target's best
     damping = 1e-12 * np.eye(n_x)
-    eye = np.eye(n_x)
-    tx = eval_T(t, x)
-    f = np.empty(len(x))  # each start's latest sum of squares, for its target's best
-    act = np.arange(len(x))
+    # the active starts, compacted: index, point, residual, target, sum of squares
+    act, xa, ra, za, fa = np.arange(len(x)), x, res, z, f
     for _ in range(_MAX_ITERS):
+        # a start that meets its target leaves before its Jacobian
+        keep = np.abs(ra).max(axis=1) > _TOL
+        if not keep.all():
+            act, xa, ra, za, fa = act[keep], xa[keep], ra[keep], za[keep], fa[keep]
         if not act.size:
             break
-        xa, txa, za = x[act], tx[act], z[act]
-        n_s = len(act)
-        res = txa - za
-        f0 = (res * res).sum(axis=1)
-        f[act] = f0
         bound = n_z * f.reshape(p, n_per).min(axis=1)[act // n_per]
-        steps = _FD_STEP * np.maximum(1.0, np.abs(xa))
-        probes = (xa[None, :, :] + steps.T[:, :, None] * eye[:, None, :]).reshape(-1, n_x)
-        tp = eval_T(t, probes).reshape(n_x, n_s, -1)
-        # einsum sums in another order over a strided operand: keep the
-        # (start, row, axis) layout contiguous so the sums stay bit-stable
-        jac = np.ascontiguousarray(((tp - txa) / steps.T[:, :, None]).transpose(1, 2, 0))
+        jac = _jacobian(t, xa, ra, za)
         jtj = np.einsum("sri,srj->sij", jac, jac) + damping
-        grad = np.einsum("sri,sr->si", jac, res)
+        grad = np.einsum("sri,sr->si", jac, ra)
         direction = -np.linalg.solve(jtj, grad[..., None])[..., 0]
-        lin = res + np.einsum("sri,si->sr", jac, direction)
-        keep = (f0 <= bound) | ((lin * lin).sum(axis=1) <= bound)
+        lin = ra + np.einsum("sri,si->sr", jac, direction)
+        model = (lin * lin).sum(axis=1)
+        keep = ((fa <= bound) | (model <= bound)) & (fa - model > _STOP_DECREASE * fa)
         if not keep.all():
-            act, xa, txa, za, f0, direction = (
-                a[keep] for a in (act, xa, txa, za, f0, direction))
-            n_s = len(act)
-            if not n_s:
+            act, xa, ra, za, fa, direction = (
+                act[keep], xa[keep], ra[keep], za[keep], fa[keep], direction[keep])
+            if not act.size:
                 break
 
         # whole backtracking ladder in one batched evaluation per iteration
-        trials = np.clip(xa[None, :, :] + _LS_ALPHAS[:, None, None] * direction[None, :, :],
-                         lo, hi)
+        n_s = len(act)
+        trials = np.minimum(np.maximum(xa + _LS_ALPHAS[:, None, None] * direction, lo), hi)
         res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), n_s, -1) - za
         f_t = (res_t * res_t).sum(axis=2)
-        improving = f_t < f0[None, :]
-        has_step = improving.any(axis=0)
-        first = np.argmax(improving, axis=0)
-        rows = np.arange(n_s)
-        x_next = np.where(has_step[:, None], trials[first, rows], xa)
-        tx_next = np.where(has_step[:, None], res_t[first, rows] + za, txa)
-        f[act] = np.where(has_step, f_t[first, rows], f0)
-        move = np.abs(x_next - xa).max(axis=1)
-        x[act], tx[act] = x_next, tx_next
-        resid = np.abs(tx_next - za).max(axis=1)
-        done = (~has_step | (resid <= _TOL)
-                | (move <= 1e-15 * (1.0 + np.abs(x_next).max(axis=1))))
-        act = act[~done]
-    resid = np.max(np.abs(tx - z), axis=1)
+        improving = f_t < fa
+        pick = np.argmax(improving, axis=0), np.arange(n_s)
+        step = improving[pick]
+        x_next = np.where(step[:, None], trials[pick], xa)
+        # a start without an improving step, or one that moves by rounding
+        # only, has stalled
+        keep = (np.abs(x_next - xa).max(axis=1)
+                > 1e-15 * (1.0 + np.abs(x_next).max(axis=1)))
+        xa, ra = x_next, np.where(step[:, None], res_t[pick], ra)
+        fa = np.where(step, f_t[pick], fa)
+        x[act], res[act], f[act] = xa, ra, fa
+        if not keep.all():
+            act, xa, ra, za, fa = act[keep], xa[keep], ra[keep], za[keep], fa[keep]
+    resid = np.abs(res).max(axis=1)
     return x.reshape(p, n_per, n_x), resid.reshape(p, n_per)
+
+
+def _jacobian(t: KklTransform, x: np.ndarray, res: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(s, n_z, n_x)`` Jacobian at the points ``x``, whose residuals are ``res = T(x) - z``.
+
+    Exact in polynomial mode; a forward difference of the residual in series mode.
+    """
+    if t.mode == "polynomial":
+        return jacobian_poly(t, x)
+    n_s, n_x = x.shape
+    steps = _FD_STEP * np.maximum(1.0, np.abs(x))
+    probes = (x[None, :, :] + steps.T[:, :, None] * np.eye(n_x)[:, None, :]).reshape(-1, n_x)
+    res_p = eval_T(t, probes).reshape(n_x, n_s, -1) - z
+    # einsum sums in another order over a strided operand: keep the
+    # (start, row, axis) layout contiguous so the sums stay bit-stable
+    return np.ascontiguousarray(((res_p - res) / steps.T[:, :, None]).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_config_rejects_out_of_range(field, value):
         RunConfig(**{field: value})
 
 
+@pytest.mark.parametrize("x0", [(1.0,), (1.0, 0.0, 0.0), ()])
+def test_config_rejects_x0_of_other_dimension(x0):
+    # used to fail in the build with "box dimension does not match n_x"
+    with pytest.raises(ValueError, match=r"'x0' needs 2 entries, the state dimension"):
+        RunConfig(x0=x0)
+
+
+def test_cli_x0_of_other_dimension_exit_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"x0": [1.0]}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'x0'" in err
+
+
 def test_config_accepts_point_box_and_one_step_window():
     cfg = RunConfig(x0_halfwidth=0.0, window=(3, 3))
     assert cfg.x0_halfwidth == 0.0 and cfg.window == (3, 3)

@@ -302,4 +302,4 @@ def test_series_mode_observer_end_to_end(osc):
     # byte pin of the recovered series-mode states (numpy 2.4.6; the same
     # with one and two BLAS threads)
     assert digest.hexdigest() == (
-        "08a16d5ec1a0cb6575e4c25008b33f427d686666cff6d7bc7cc0fc4dd348c47f")
+        "613c10220880fbe03b571a27d0ef4ad4d4241cbf7015720a2eb691863ad0c77a")

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kklio import (Box, CanonicalBlock, InverseConfig, PlantModel, SystemConstants, TargetSystem,
-                   derived_constants, estimate_forward_lipschitz, estimate_injectivity,
-                   eval_T, eval_T_poly, eval_T_series, gamma_star, invert_T,
+from kklio import (Box, CanonicalBlock, InverseConfig, KklTransform, PlantModel, SystemConstants,
+                   TargetSystem, derived_constants, estimate_forward_lipschitz,
+                   estimate_injectivity, eval_T, eval_T_poly, eval_T_series, gamma_star, invert_T,
                    load_coefficients, make_polynomial_transform, make_series_transform,
                    save_coefficients, solve_poly_T, transform_residual)
 from kklio.presets import (POLY_BASIS, build_oscillator, closed_form_constants,
@@ -384,13 +387,14 @@ def test_gauss_newton_skips_converged_rows(osc, monkeypatch):
 
     monkeypatch.setattr(transform, "eval_T", counting_eval_T)
     transform._gauss_newton(osc.transform, z, starts[:, None], cfg)
-    # calls: the starts, then (Jacobian probes, ladder) per iteration
-    probes, ladder = counts[1::2], counts[2::2]
-    assert len(probes) == len(ladder) > 10
-    assert probes[0] == 2 * 10 and ladder[0] == 14 * 10
-    assert all(b <= a for a, b in zip(probes, probes[1:]))
-    assert probes[-1] == 2 and ladder[-1] == 14
-    assert all(2 * q == 14 * p for p, q in zip(probes, ladder))
+    # calls: the starts, then one ladder per iteration (the polynomial
+    # Jacobian comes from its table, without evaluating the transform)
+    assert counts[0] == 10
+    ladder = counts[1:]
+    assert len(ladder) > 10
+    assert ladder[0] == 14 * 10 and ladder[-1] == 14
+    assert all(b <= a for a, b in zip(ladder, ladder[1:]))
+    assert all(q % 14 == 0 for q in ladder)
 
 
 @pytest.mark.parametrize("mode", ["polynomial", "series"])
@@ -417,9 +421,10 @@ def test_invert_returns_winner_run_alone(osc, osc_series, mode):
     assert dropped > 0
 
 
-def test_invert_exact_hit_stops_after_one_iteration(osc, monkeypatch):
-    # the warm start meets z exactly, so its sum of squares is 0 and every
-    # other start leaves the batch before its first line search
+def test_invert_exact_hit_runs_no_iteration(osc, monkeypatch):
+    # the warm start meets z exactly, so it leaves before its Jacobian; its
+    # sum of squares is 0, so every other start leaves the batch before its
+    # first line search
     import kklio.transform as transform
     cfg = InverseConfig(box=osc.plant.box_x_enlarged)
     x_star = np.array([0.4, 0.2])
@@ -433,8 +438,8 @@ def test_invert_exact_hit_stops_after_one_iteration(osc, monkeypatch):
     monkeypatch.setattr(transform, "eval_T", counting_eval_T)
     x, r = invert_T(osc.transform, z, cfg, warm=x_star)
     assert np.array_equal(x, x_star) and r == 0.0
-    # calls: the 50 starts, the Jacobian probes of all 50, one ladder of 14
-    assert counts == [50, 2 * 50, 14]
+    # calls: the 50 starts, and nothing more
+    assert counts == [50]
 
 
 def test_invert_keeps_start_that_is_still_far_behind(osc):
@@ -447,6 +452,58 @@ def test_invert_keeps_start_that_is_still_far_behind(osc):
     x, resid = invert_T(osc.transform, eval_T(osc.transform, x_true), cfg)
     assert np.max(np.abs(x - x_true)) <= 1e-8
     assert resid <= 1e-8
+
+
+def test_oscillator_jacobian_matches_hand_derivation(osc):
+    # T_r = c0 x1^2 + c1 x2^2 + c2 x1 x2 + c3 x1 + c4 x2 over POLY_BASIS
+    from kklio.transform import jacobian_poly
+    c = osc.transform.poly_coeffs
+    x = osc.plant.box_x_enlarged.sample(np.random.default_rng(21), 50)
+    x1, x2 = x[:, :1], x[:, 1:]
+    oracle = np.stack([2 * c[:, 0] * x1 + c[:, 2] * x2 + c[:, 3],
+                       2 * c[:, 1] * x2 + c[:, 2] * x1 + c[:, 4]], axis=-1)
+    np.testing.assert_allclose(jacobian_poly(osc.transform, x), oracle, rtol=0, atol=1e-12)
+
+
+def test_jacobian_row_alone_equals_row_in_batch(osc):
+    # a lone point must get the bits it gets in a batch, or Gauss-Newton
+    # rows would depend on how many starts are still active
+    from kklio.transform import jacobian_poly
+    x = osc.plant.box_x_enlarged.sample(np.random.default_rng(22), 10)
+    batch = jacobian_poly(osc.transform, x)
+    for s in range(10):
+        assert np.array_equal(jacobian_poly(osc.transform, x[s:s + 1])[0], batch[s])
+        assert np.array_equal(jacobian_poly(osc.transform, x[s]), batch[s])
+
+
+@st.composite
+def _random_poly_transforms(draw):
+    n_x = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n_x).filter(lambda e: sum(e) <= 3)
+    basis = draw(st.lists(exps, min_size=1, max_size=8, unique=True))
+    n_z = draw(st.integers(1, 3))
+    coeffs = draw(arrays(float, (n_z, len(basis)), elements=st.floats(-2.0, 2.0)))
+    x = draw(arrays(float, (5, n_x), elements=st.floats(-1.5, 1.5)))
+    plant = linear_plant(np.eye(n_x), np.ones((1, n_x)))
+    target = real_target((0.1, 0.2, 0.3)[:n_z], np.ones(n_z), gamma=1.0)
+    return KklTransform(mode="polynomial", target=target, plant=plant,
+                        poly_coeffs=coeffs, basis=tuple(basis)), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_poly_transforms())
+def test_jacobian_table_matches_central_differences(case):
+    # degree <= 3, so the central difference errs by h^2/6 times the third
+    # derivative, about 1e-10 here, plus rounding of order eps / h
+    from kklio.transform import jacobian_poly
+    t, x = case
+    n_x, h = x.shape[1], 1e-5
+    jac = jacobian_poly(t, x)
+    assert jac.shape == (len(x), t.target.n_z, n_x)
+    for i in range(n_x):
+        step = h * np.eye(n_x)[i]
+        central = (eval_T_poly(t, x + step) - eval_T_poly(t, x - step)) / (2 * h)
+        np.testing.assert_allclose(jac[..., i], central, rtol=0, atol=1e-8)
 
 
 def test_best_start_matches_sorted_keys():

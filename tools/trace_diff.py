@@ -3,7 +3,8 @@
     python3 tools/trace_diff.py A.csv B.csv
 
 Both files must have the same header and the same number of rows, as two
-runs of one configuration do. Prints the rows that differ (by ``k``), the
+runs of one configuration do. Prints the rows that differ (by ``k``, the
+first ten listed and the rest counted), the
 largest absolute change of the state bounds (``x_lo*``/``x_hi*``) and of the
 target bounds (``z_lo*``/``z_hi*``), the largest relative change of the
 inversion residuals (``resid_hi``/``resid_lo``) and the median ``width_x`` of
@@ -72,8 +73,10 @@ def main(argv=None) -> int:
         print(f"cannot compare: {exc}", file=sys.stderr)
         return 2
     ks = d["differ_k"]
-    print(f"rows that differ: {len(ks)} of {d['rows']}"
-          + (f" (k = {', '.join(str(v) for v in ks)})" if ks else ""))
+    listed = ", ".join(str(v) for v in ks[:10])
+    if len(ks) > 10:
+        listed += f", ... ({len(ks) - 10} more)"
+    print(f"rows that differ: {len(ks)} of {d['rows']}" + (f" (k = {listed})" if ks else ""))
     print(f"max |delta| x_lo/x_hi: {d['max_abs_x_bounds']:.3g}")
     print(f"max |delta| z_lo/z_hi: {d['max_abs_z_bounds']:.3g}")
     print(f"max relative delta resid_hi/resid_lo: {d['max_rel_resid']:.3g}")
