@@ -9,11 +9,11 @@ numerical inverse of the transform.
 from .coords import CanonicalBlock, CoordChangeSeq, assemble_target_matrix, build_coord_change
 from .intervals import Box, inf_norm, interval_image, mat_inf_norm, split_neg, split_pos
 from .observer import ObserverConfig, ObserverState, init_observer, recover_x_bounds, step
-from .plant import (PlantModel, PlantTrace, SystemConstants, distinguishability_map, estimate_c_o,
+from .plant import (PlantModel, PlantTrace, distinguishability_map, estimate_c_o,
                     estimate_lipschitz, simulate_plant)
-from .transform import (InverseConfig, KklTransform, TargetSystem, derived_constants,
-                        estimate_forward_lipschitz, estimate_injectivity, eval_T, eval_T_poly,
-                        eval_T_series, gamma_star, invert_T, load_coefficients,
+from .transform import (ClosedFormConstants, InverseConfig, KklTransform, SystemConstants,
+                        TargetSystem, estimate_forward_lipschitz, estimate_injectivity, eval_T,
+                        eval_T_poly, eval_T_series, gamma_star, invert_T, load_coefficients,
                         make_polynomial_transform, make_series_transform, save_coefficients,
                         solve_poly_T, transform_residual)
 
@@ -21,10 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "split_pos", "split_neg", "interval_image", "inf_norm", "mat_inf_norm",
-    "PlantModel", "PlantTrace", "SystemConstants",
+    "PlantModel", "PlantTrace",
     "simulate_plant", "estimate_lipschitz", "estimate_c_o", "distinguishability_map",
-    "TargetSystem", "KklTransform", "InverseConfig",
-    "gamma_star", "derived_constants", "solve_poly_T", "make_polynomial_transform",
+    "TargetSystem", "KklTransform", "InverseConfig", "SystemConstants", "ClosedFormConstants",
+    "gamma_star", "solve_poly_T", "make_polynomial_transform",
     "make_series_transform", "eval_T", "eval_T_poly", "eval_T_series", "invert_T",
     "transform_residual", "estimate_forward_lipschitz", "estimate_injectivity",
     "save_coefficients", "load_coefficients",

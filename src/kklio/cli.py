@@ -151,11 +151,12 @@ def _report_left_box(s: dict) -> None:
 
 def _cmd_constants(cfg: RunConfig) -> int:
     bundle = presets.build_preset(cfg.preset, gamma=cfg.gamma, tau=cfg.tau, seed=cfg.seed)
-    c, gs_raw = presets.closed_form_constants(bundle)
+    cf, gs_raw = presets.closed_form_constants(bundle)
+    c = bundle.consts
     print(f"preset={bundle.name} gamma={cfg.gamma:g} tau={cfg.tau:g} seed={cfg.seed}")
     print(f"orders m={c.m} (m_bar={c.m_bar})  n_z={bundle.target.n_z}")
-    print(f"c_f={c.c_f:.12g}\nc_h={c.c_h:.12g}\nc_o={c.c_o:.12g}\nc_c={c.c_c:.12g}")
-    print(f"c_N={c.c_N:g}")
+    print(f"c_f={cf.c_f:.12g}\nc_h={cf.c_h:.12g}\nc_o={cf.c_o:.12g}\nc_c={cf.c_c:.12g}")
+    print("c_N=1")  # the norm-equivalence factor of the max norm
     print(f"gamma_star (closed form, uncapped) = {gs_raw:.12g}")
     print(f"c_L={c.c_L:.12g}  (sampled transform Lipschitz bound)")
     print(f"c_I={c.c_I:.12g}  (sampled injectivity margin)")

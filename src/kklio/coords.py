@@ -16,7 +16,7 @@ so there is no drift for large ``k``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,10 +90,33 @@ class CanonicalBlock:
 
 @dataclass(frozen=True, eq=False)
 class CoordChangeSeq:
+    """Frames for the canonical ``blocks`` at gain ``gamma``.
+
+    ``Lambda``, the constant propagation matrix, and ``sigma``, a bound on
+    ``||R_k|| + ||inv(R_k)||``, are derived from them, so they always belong
+    to these frames. Every block must be Schur at ``gamma``.
+    """
+
     blocks: tuple[CanonicalBlock, ...]
     gamma: float
-    Lambda: np.ndarray
-    sigma: float
+    Lambda: np.ndarray = field(init=False)
+    sigma: float = field(init=False)
+
+    def __post_init__(self):
+        blocks = tuple(self.blocks)
+        if not blocks:
+            raise ValueError("need at least one block")
+        if not 0.0 < self.gamma:
+            raise ValueError("gamma must be positive")
+        for b in blocks:
+            if not self.gamma * b.modulus < 1.0:
+                raise ValueError(
+                    f"block {b.kind} with modulus {b.modulus} is not Schur at gamma={self.gamma}"
+                )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "Lambda",
+                           _blockdiag([b.lambda_block(self.gamma) for b in blocks]))
+        object.__setattr__(self, "sigma", max(b.sup_frame_norm() for b in blocks) * 2.0)
 
     def R(self, k: int) -> np.ndarray:
         if k < 0:
@@ -124,19 +147,7 @@ class CoordChangeSeq:
 
 def build_coord_change(blocks, gamma: float) -> CoordChangeSeq:
     """Assemble the frame sequence for the given blocks and gain."""
-    blocks = tuple(blocks)
-    if not blocks:
-        raise ValueError("need at least one block")
-    if not 0.0 < gamma:
-        raise ValueError("gamma must be positive")
-    for b in blocks:
-        if not gamma * b.modulus < 1.0:
-            raise ValueError(
-                f"block {b.kind} with modulus {b.modulus} is not Schur at gamma={gamma}"
-            )
-    lam = _blockdiag([b.lambda_block(gamma) for b in blocks])
-    sigma = max(b.sup_frame_norm() for b in blocks) * 2.0
-    return CoordChangeSeq(blocks=blocks, gamma=gamma, Lambda=lam, sigma=sigma)
+    return CoordChangeSeq(blocks=blocks, gamma=gamma)
 
 
 def assemble_target_matrix(blocks, gamma: float) -> np.ndarray:

@@ -29,8 +29,7 @@ import numpy as np
 
 from .coords import CoordChangeSeq
 from .intervals import inf_norm, interval_image
-from .plant import SystemConstants
-from .transform import InverseConfig, KklTransform, eval_T, invert_T
+from .transform import InverseConfig, KklTransform, SystemConstants, eval_T, invert_T
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +65,6 @@ class ObserverConfig:
             # m_bar sets the margin's exponent: other orders void its guarantee
             raise ValueError(f"orders m={self.consts.m} do not match the transform's "
                              f"m={self.transform.target.m}")
-        if self.consts.c_L is None or self.consts.c_I is None:
-            raise ValueError("constants must provide c_L and c_I")
         plant = self.transform.plant
         box = self.inverse_cfg.box
         if not (plant.box_x_enlarged.contains_box(box) and box.contains_box(plant.box_x)):

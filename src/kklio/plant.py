@@ -7,6 +7,10 @@ that chained evaluations of the inverse dynamics remain bounded.
 
 The maps ``f``, ``f_inv`` and ``h`` must be numpy-vectorized: they take
 ``(..., n_x)`` arrays and return ``(..., n_x)`` resp. ``(..., n_y)``.
+
+The estimated constants, ``c_f`` and ``c_h`` (``estimate_lipschitz``) and
+``c_o`` (``estimate_c_o``), are inputs of the closed-form gain threshold
+``transform.gamma_star`` only; no run reads them.
 """
 
 from __future__ import annotations
@@ -51,51 +55,6 @@ class PlantModel:
     def f_inv_clamped(self, x) -> np.ndarray:
         """One backward step, saturated into the enlarged box."""
         return self.box_x_enlarged.clamp(self.f_inv(np.asarray(x, dtype=float)))
-
-
-@dataclass(frozen=True)
-class SystemConstants:
-    """Regularity constants of a plant/transform pair.
-
-    ``c_f`` and ``c_h`` bound the increments of the inverse dynamics and the
-    output map; ``c_c`` bounds the inverse controllability matrices of the
-    target blocks from below; ``c_N`` is the norm-equivalence factor (1 for
-    the max norm). ``c_o``, the injectivity modulus of the backward
-    distinguishability map at orders ``m``, feeds only the closed-form
-    constants and is ``None`` until estimated. ``c_L`` and ``c_I`` describe
-    the transform itself and are filled in once it is built; ``c`` follows
-    from them.
-    """
-
-    c_f: float
-    c_h: float
-    c_o: Optional[float]
-    c_c: float
-    m: tuple[int, ...]
-    c_N: float = 1.0
-    c_L: Optional[float] = None
-    c_I: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(mi) for mi in self.m))
-        for name in ("c_f", "c_h", "c_c", "c_N"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        for name in ("c_o", "c_L", "c_I"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive when set")
-        if not self.m or any(mi < 1 for mi in self.m):
-            raise ValueError("orders m must all be >= 1")
-
-    @property
-    def m_bar(self) -> int:
-        return max(self.m)
-
-    @property
-    def c(self) -> Optional[float]:
-        """Inverse-Lipschitz constant of the transform, ``1 / c_I``."""
-        return None if self.c_I is None else 1.0 / self.c_I
 
 
 @dataclass(frozen=True, eq=False)

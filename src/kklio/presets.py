@@ -11,19 +11,20 @@ Its dynamics are linear with exact inverse and unit determinant, solutions
 of interest remain in ``[-2, 2]^2``, and backward orbits of that box stay
 inside ``[-3, 3]^2``, which is used as the saturation and inversion box.
 
-The state-recovery margin uses the empirically estimated transform
-constants: the forward Lipschitz bound of the transform and its sampled
-injectivity margin on the enlarged box, both estimated at the gain in use
-(the closed-form route only certifies gains far below the ones of interest;
-the ``constants`` CLI command prints both). Smaller gains weaken the
-transform's injectivity faster than the nominal ``gamma**(m_bar-1)`` law, so
-each gain gets its own honestly sampled margin.
+A run uses only the empirically estimated transform constants
+(``SystemConstants``): the forward Lipschitz bound of the transform and its
+sampled injectivity margin on the enlarged box, both estimated at the gain in
+use. Smaller gains weaken the transform's injectivity faster than the nominal
+``gamma**(m_bar-1)`` law, so each gain gets its own honestly sampled margin.
+The closed-form route certifies only gains far below the ones of interest;
+``closed_form_constants`` estimates its inputs on demand, and the
+``constants`` CLI command prints both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,10 +32,10 @@ import numpy as np
 from .coords import CanonicalBlock, CoordChangeSeq, build_coord_change
 from .intervals import Box
 from .observer import ObserverConfig
-from .plant import PlantModel, SystemConstants, estimate_c_o, estimate_lipschitz
-from .transform import (InverseConfig, KklTransform, TargetSystem,
-                        estimate_forward_lipschitz, estimate_injectivity, gamma_star,
-                        make_polynomial_transform)
+from .plant import PlantModel, estimate_c_o, estimate_lipschitz
+from .transform import (ClosedFormConstants, InverseConfig, KklTransform, SystemConstants,
+                        TargetSystem, estimate_forward_lipschitz, estimate_injectivity,
+                        gamma_star, make_polynomial_transform)
 
 OSCILLATOR = "oscillator-siE"
 PRESETS = (OSCILLATOR,)
@@ -147,26 +148,25 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
                      coeffs: Optional[np.ndarray] = None) -> Bundle:
     """Assemble the demo plant, transform, frames, constants and observer.
 
-    The bundle's ``consts.c_o`` is ``None``: only the closed-form constants
-    use it, and ``closed_form_constants`` estimates it on demand. ``tau``
-    must be finite and positive: at ``tau = 0`` the plant is the identity
-    map, whose outputs cannot tell its states apart.
+    The bundle's constants are the ones a run uses, ``c_L`` and ``c_I``,
+    sampled at ``seed + 3`` and ``seed + 4``; ``closed_form_constants``
+    estimates the closed-form ones on demand. ``tau`` must be finite and
+    positive: at ``tau = 0`` the plant is the identity map, whose outputs
+    cannot tell its states apart. ``seed`` must be nonnegative.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     plant = make_oscillator_plant(tau, x0_box)
     blocks = tuple(CanonicalBlock.positive_real(l) for l in DEFAULT_LAMBDAS)
     target = TargetSystem(channels=((blocks, np.ones(len(blocks))),), gamma=gamma)
     transform = make_polynomial_transform(plant, target, POLY_BASIS, coeffs=coeffs)
     coord = build_coord_change(blocks, gamma)
-
-    c_f, c_h = estimate_lipschitz(plant, samples=LIPSCHITZ_SAMPLES, seed=seed)
-    consts = SystemConstants(c_f=c_f, c_h=c_h, c_o=None, c_c=target.c_c(), m=target.m)
-
-    c_L = estimate_forward_lipschitz(transform, samples=TRANSFORM_SAMPLES, seed=seed + 3)
-    c_I = estimate_injectivity(transform, samples=TRANSFORM_SAMPLES, seed=seed + 4)
-    consts = replace(consts, c_L=c_L, c_I=c_I)
-
+    consts = SystemConstants(
+        c_L=estimate_forward_lipschitz(transform, samples=TRANSFORM_SAMPLES, seed=seed + 3),
+        c_I=estimate_injectivity(transform, samples=TRANSFORM_SAMPLES, seed=seed + 4),
+        m=target.m)
     observer_cfg = ObserverConfig(transform=transform, coord=coord, consts=consts,
                                   gamma=gamma,
                                   inverse_cfg=InverseConfig(box=plant.box_x_enlarged))
@@ -174,15 +174,17 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
                   coord=coord, consts=consts, observer_cfg=observer_cfg, seed=seed)
 
 
-def closed_form_constants(bundle: Bundle) -> tuple[SystemConstants, float]:
-    """The bundle's constants with ``c_o`` estimated, and the uncapped ``gamma_star``.
+def closed_form_constants(bundle: Bundle) -> tuple[ClosedFormConstants, float]:
+    """The inputs of ``gamma_star`` for the bundle, and the uncapped ``gamma_star``.
 
-    ``c_o`` is drawn at the bundle's own estimation seed, from the same
-    stream offset as it always was.
+    ``c_f`` and ``c_h`` are drawn at the bundle's own estimation seed and
+    ``c_o`` at ``seed + 2``, with the sample counts they always had;
+    ``c_c`` is exact.
     """
-    c_o = estimate_c_o(bundle.plant, bundle.target.m, samples=C_O_SAMPLES,
-                       seed=bundle.seed + 2)
-    consts = replace(bundle.consts, c_o=c_o)
+    plant, seed = bundle.plant, bundle.seed
+    c_f, c_h = estimate_lipschitz(plant, samples=LIPSCHITZ_SAMPLES, seed=seed)
+    c_o = estimate_c_o(plant, bundle.target.m, samples=C_O_SAMPLES, seed=seed + 2)
+    consts = ClosedFormConstants(c_f=c_f, c_h=c_h, c_o=c_o, c_c=bundle.target.c_c())
     return consts, gamma_star(consts, bundle.target, cap=False)
 
 

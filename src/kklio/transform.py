@@ -32,7 +32,7 @@ import numpy as np
 
 from .coords import CanonicalBlock, assemble_target_matrix
 from .intervals import Box, inf_norm, mat_inf_norm
-from .plant import PlantModel, SystemConstants
+from .plant import PlantModel
 from .sampling import pair_ratio_extremum
 
 _CTRB_RANK_RTOL = 1e-10
@@ -122,75 +122,102 @@ def _ctrb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _norm_terms(consts: SystemConstants, target: TargetSystem) -> tuple[float, ...]:
-    """``(a_max, b_max, af, tail)`` of the closed-form constants, per ``(A_i, b_i)``."""
+def _require_positive(consts, names) -> None:
+    for name in names:
+        # NaN compares false, so it fails here too
+        if not getattr(consts, name) > 0.0:
+            raise ValueError(f"{name} must be strictly positive")
+
+
+@dataclass(frozen=True)
+class SystemConstants:
+    """The transform constants a run uses, at the target's orders ``m``.
+
+    ``c_L`` bounds the increments of the transform on the enlarged box and
+    ``c_I`` is its injectivity margin there, in the gain-normalized form of
+    ``estimate_injectivity``; ``c`` follows from it.
+    """
+
+    c_L: float
+    c_I: float
+    m: tuple[int, ...]
+
+    def __post_init__(self):
+        _require_positive(self, ("c_L", "c_I"))
+        if not self.m or not all(mi >= 1 for mi in self.m):
+            raise ValueError(f"orders m must all be >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", tuple(int(mi) for mi in self.m))
+
+    @property
+    def m_bar(self) -> int:
+        return max(self.m)
+
+    @property
+    def c(self) -> float:
+        """Inverse-Lipschitz constant of the transform, ``1 / c_I``."""
+        return 1.0 / self.c_I
+
+
+@dataclass(frozen=True)
+class ClosedFormConstants:
+    """The plant and target constants that ``gamma_star`` reads.
+
+    ``c_f`` and ``c_h`` bound the increments of the inverse dynamics and the
+    output map, ``c_o`` is the injectivity modulus of the backward
+    distinguishability map at the target's orders, and ``c_c`` bounds the
+    inverse controllability matrices of the target blocks from below
+    (``TargetSystem.c_c``).
+    """
+
+    c_f: float
+    c_h: float
+    c_o: float
+    c_c: float
+
+    def __post_init__(self):
+        _require_positive(self, ("c_f", "c_h", "c_o", "c_c"))
+
+
+def gamma_star(consts: ClosedFormConstants, target: TargetSystem, cap: bool = True) -> float:
+    """Largest gain for which the transform is certified Lipschitz injective.
+
+    Three-term minimum: series convergence, backward-chain contraction, and
+    positivity of the injectivity margin, with the norms taken per
+    ``(A_i, b_i)``. With ``cap=True`` the value is clipped to 1, the design
+    range of the gain.
+    """
     a_norms = np.array([mat_inf_norm(a_i) for a_i, _ in target.pairs])
     b_norms = np.array([inf_norm(b_i) for _, b_i in target.pairs])
     a_max = float(np.max(a_norms))
     b_max = float(np.max(b_norms))
     af = a_max * consts.c_f
     tail = float(np.max((a_norms * consts.c_f) ** np.array(target.m)))
-    return a_max, b_max, af, tail
-
-
-def gamma_star(consts: SystemConstants, target: TargetSystem, cap: bool = True) -> float:
-    """Largest gain for which the transform is certified Lipschitz injective.
-
-    Three-term minimum: series convergence, backward-chain contraction, and
-    positivity of the injectivity margin. With ``cap=True`` the value is
-    clipped to 1, the design range of the gain. Needs ``consts.c_o``, which
-    ``estimate_c_o`` provides.
-    """
-    if consts.c_o is None:
-        raise ValueError("c_o is not set: estimate it with estimate_c_o first")
-    a_max, b_max, af, tail = _norm_terms(consts, target)
-    t1 = 1.0 / a_max
-    t2 = 1.0 / af
     t3 = consts.c_c * consts.c_o / (af * consts.c_c * consts.c_o
                                     + b_max * consts.c_h * consts.c_f * tail)
-    g = min(t1, t2, t3)
+    g = min(1.0 / a_max, 1.0 / af, t3)
     return min(g, 1.0) if cap else g
-
-
-def derived_constants(consts: SystemConstants, target: TargetSystem,
-                      gamma: float) -> tuple[float, float]:
-    """Closed-form ``(c_L, c_I)`` for a gain inside the certified range.
-
-    ``c_L`` bounds increments of the transform and ``c_I`` is its injectivity
-    margin (positive only below the uncapped ``gamma_star``); ``1/c_I``
-    bounds increments of the left inverse after scaling by
-    ``gamma**(m_bar-1)``. Needs ``consts.c_o``, like ``gamma_star``.
-    """
-    raw = gamma_star(consts, target, cap=False)
-    if not 0.0 < gamma <= 1.0 or gamma >= raw:
-        raise ValueError(
-            f"injectivity not guaranteed: gamma={gamma} is not below gamma*={raw:.6g}"
-        )
-    _, b_max, af, tail = _norm_terms(consts, target)
-    c_L = b_max * consts.c_h * consts.c_f / (1.0 - gamma * af)
-    c_I = consts.c_N * (consts.c_c * consts.c_o
-                        - b_max * consts.c_h * consts.c_f * gamma * tail / (1.0 - gamma * af))
-    if c_I <= 0.0:
-        raise ValueError("injectivity not guaranteed: margin is nonpositive")
-    return c_L, c_I
 
 
 @dataclass(frozen=True)
 class InverseConfig:
     """The box of the multi-start box-constrained least-squares inverse.
 
-    The start set is a fixed interior lattice of ``_LATTICE_PER_AXIS``
-    points per axis, in row-major order; ``invert_T`` adds the warm start.
+    ``start_points`` is the fixed, read-only interior lattice of
+    ``_LATTICE_PER_AXIS`` points per axis (cell centres, row-major), built
+    with the config; ``invert_T`` adds the warm start.
     """
 
     box: Box
+    start_points: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def start_points(self) -> np.ndarray:
+    def __post_init__(self):
         n = self.box.dim
         frac = (np.arange(_LATTICE_PER_AXIS) + 0.5) / _LATTICE_PER_AXIS
         axes = [self.box.lo[i] + self.box.width[i] * frac for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, n)
+        lattice = np.stack(mesh, axis=-1).reshape(-1, n)
+        lattice.setflags(write=False)
+        object.__setattr__(self, "start_points", lattice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +525,7 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
         raise ValueError(f"z must have shape ({n_z},) or (p, {n_z})")
     zs = z.reshape(-1, n_z)
     p = len(zs)
-    lattice = cfg.start_points()
+    lattice = cfg.start_points
     n_x = lattice.shape[1]
     starts = np.broadcast_to(lattice, (p,) + lattice.shape)
     if warm is not None:

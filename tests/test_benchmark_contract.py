@@ -84,3 +84,6 @@ def test_traced_worker_short_run(worker, bench, workload, tmp_path, capsys):
     for name in bench.PER_LAYER:
         if name not in ("tracing.overhead_s", "harness.csv_bytes"):
             assert math.isfinite(out["layers"][name]), name
+    # the build samples no closed-form constant; only `kklio constants` does
+    assert out["layers"]["plant.estimate_lipschitz_s"] == 0.0
+    assert out["layers"]["plant.estimate_c_o_s"] == 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kklio import CanonicalBlock, assemble_target_matrix, build_coord_change
+from kklio import CanonicalBlock, CoordChangeSeq, assemble_target_matrix, build_coord_change
 
 
 def test_negative_real_block():
@@ -95,3 +95,15 @@ def test_negative_real_even_odd_frames():
     b = CanonicalBlock.negative_real(-0.5)
     assert b.r_block(3)[0, 0] == -1.0
     assert b.r_block(4)[0, 0] == 1.0
+
+
+def test_frames_derive_lambda_and_sigma():
+    # the observer propagates with Lambda, and one that is not the blocks' own
+    # lets the true z leave its bounds, so it cannot be passed in
+    blocks = (CanonicalBlock.positive_real(0.5), CanonicalBlock.rotation(0.9, 0.7))
+    seq = CoordChangeSeq(blocks=blocks, gamma=0.9)
+    np.testing.assert_array_equal(seq.Lambda, build_coord_change(blocks, 0.9).Lambda)
+    with pytest.raises(TypeError):
+        CoordChangeSeq(blocks=blocks, gamma=0.9, Lambda=0.5 * seq.Lambda, sigma=seq.sigma)
+    with pytest.raises(ValueError, match="not Schur"):
+        CoordChangeSeq(blocks=blocks, gamma=1.2)

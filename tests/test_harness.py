@@ -270,6 +270,17 @@ def test_cli_tau_out_of_range_exit_3(capsys, command, tau):
     assert "configuration error" in err and "tau must be finite and positive" in err
 
 
+@pytest.mark.parametrize("command", [["run", "--steps", "3"], ["constants"]],
+                         ids=["run", "constants"])
+def test_cli_negative_seed_exit_3(capsys, command):
+    # numpy's seed error names no option, and a run draws only at seed + 3
+    # and seed + 4, so without the build's own check a run would pass where
+    # the constants command fails
+    assert main(command + ["--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "seed must be nonnegative" in err
+
+
 def test_cli_config_tau_zero_exit_3(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"tau": 0, "steps": 3}))

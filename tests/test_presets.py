@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kklio.presets
-from kklio import gamma_star
+from kklio import ClosedFormConstants, gamma_star
 from kklio.presets import (DEFAULT_X0, PINNED_PLANT_CONSTANTS, PINNED_TRANSFORM_CONSTANTS,
                            build_oscillator, build_preset, closed_form_constants,
                            make_oscillator_plant, siE_disturbance, siE_noise)
@@ -14,10 +14,10 @@ def test_pinned_plant_constants_reproduce():
     b = build_oscillator(gamma=1.0)
     consts, gs_raw = closed_form_constants(b)
     pins = PINNED_PLANT_CONSTANTS
-    assert b.consts.c_f == pytest.approx(pins["c_f"], rel=1e-9)
-    assert b.consts.c_h == pytest.approx(pins["c_h"], rel=1e-9)
+    assert consts.c_f == pytest.approx(pins["c_f"], rel=1e-9)
+    assert consts.c_h == pytest.approx(pins["c_h"], rel=1e-9)
     assert consts.c_o == pytest.approx(pins["c_o"], rel=1e-9)
-    assert b.consts.c_c == pytest.approx(pins["c_c"], rel=1e-12)
+    assert consts.c_c == pytest.approx(pins["c_c"], rel=1e-12)
     assert gs_raw == pytest.approx(pins["gamma_star_raw"], rel=1e-9)
 
 
@@ -25,29 +25,34 @@ def test_build_leaves_closed_form_constants_out(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the build must not estimate closed-form constants")
 
+    monkeypatch.setattr(kklio.presets, "estimate_lipschitz", refuse)
     monkeypatch.setattr(kklio.presets, "estimate_c_o", refuse)
     monkeypatch.setattr(kklio.presets, "gamma_star", refuse)
     b = build_oscillator(gamma=1.0)
-    assert b.consts.c_o is None
-    assert b.consts.c_I is not None and b.consts.c_L is not None
+    assert [f.name for f in dataclasses.fields(b.consts)] == ["c_L", "c_I", "m"]
 
 
 def test_closed_form_constants_looks_up_module_estimator(monkeypatch):
-    # the benchmark tracer wraps kklio.presets.estimate_c_o, so the on-demand
-    # function must call it through the module attribute, with the old draw
-    # at the seed the bundle was built with
+    # the benchmark tracer wraps kklio.presets.estimate_lipschitz and
+    # estimate_c_o, so the on-demand function must call them through the
+    # module attributes, with the old draws at the seed the bundle was built with
     b = build_oscillator(gamma=1.0, seed=5)
     calls = []
 
-    def fake(plant, m, samples, seed):
-        calls.append((plant, m, samples, seed))
+    def fake_lipschitz(plant, samples, seed):
+        calls.append(("lipschitz", plant, samples, seed))
+        return 2.0, 3.0
+
+    def fake_c_o(plant, m, samples, seed):
+        calls.append(("c_o", plant, m, samples, seed))
         return 0.25
 
-    monkeypatch.setattr(kklio.presets, "estimate_c_o", fake)
+    monkeypatch.setattr(kklio.presets, "estimate_lipschitz", fake_lipschitz)
+    monkeypatch.setattr(kklio.presets, "estimate_c_o", fake_c_o)
     consts, gs_raw = closed_form_constants(b)
-    assert calls == [(b.plant, (4,), kklio.presets.C_O_SAMPLES, 7)]
-    assert consts.c_o == 0.25
-    assert consts == dataclasses.replace(b.consts, c_o=0.25)
+    assert calls == [("lipschitz", b.plant, kklio.presets.LIPSCHITZ_SAMPLES, 5),
+                     ("c_o", b.plant, (4,), kklio.presets.C_O_SAMPLES, 7)]
+    assert consts == ClosedFormConstants(c_f=2.0, c_h=3.0, c_o=0.25, c_c=b.target.c_c())
     assert gs_raw == gamma_star(consts, b.target, cap=False)
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kklio import (Box, CanonicalBlock, InverseConfig, KklTransform, PlantModel, SystemConstants,
-                   TargetSystem, derived_constants, estimate_forward_lipschitz,
+from kklio import (Box, CanonicalBlock, ClosedFormConstants, InverseConfig, KklTransform,
+                   PlantModel, SystemConstants, TargetSystem, estimate_forward_lipschitz,
                    estimate_injectivity, eval_T, eval_T_poly, eval_T_series, gamma_star, invert_T,
                    load_coefficients, make_polynomial_transform, make_series_transform,
                    save_coefficients, solve_poly_T, transform_residual)
@@ -16,8 +16,8 @@ from kklio.presets import (POLY_BASIS, build_oscillator, closed_form_constants,
                            make_oscillator_plant)
 
 
-def unit_consts(m=(1,)):
-    return SystemConstants(c_f=1.0, c_h=1.0, c_o=1.0, c_c=1.0, m=m)
+def unit_consts():
+    return ClosedFormConstants(c_f=1.0, c_h=1.0, c_o=1.0, c_c=1.0)
 
 
 def real_target(lams, b, gamma):
@@ -46,7 +46,7 @@ def linear_plant(f_mat, h_mat, lo=-2.0, hi=2.0, enlarge=1.0):
     )
 
 
-# --- gamma_star / derived_constants -----------------------------------------
+# --- gamma_star and the constants types ------------------------------------
 
 
 def test_gamma_star_hand_case():
@@ -57,9 +57,8 @@ def test_gamma_star_hand_case():
 def test_gamma_star_capped_at_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        c = SystemConstants(c_f=rng.uniform(0.1, 3), c_h=rng.uniform(0.1, 3),
-                            c_o=rng.uniform(0.1, 3), c_c=rng.uniform(0.1, 3),
-                            m=(2,))
+        c = ClosedFormConstants(c_f=rng.uniform(0.1, 3), c_h=rng.uniform(0.1, 3),
+                                c_o=rng.uniform(0.1, 3), c_c=rng.uniform(0.1, 3))
         t = real_target((0.3, 0.6), [1.0, 0.5], gamma=0.5)
         assert 0.0 < gamma_star(c, t) <= 1.0
 
@@ -71,36 +70,17 @@ def test_gamma_star_oscillator_regression():
     assert 0.0 < gamma_star(consts, b.target) < 1.0
 
 
-def test_closed_form_constants_need_c_o():
-    consts = SystemConstants(c_f=1.0, c_h=1.0, c_o=None, c_c=1.0, m=(1,))
-    with pytest.raises(ValueError, match="estimate_c_o"):
-        gamma_star(consts, single_block_target())
-    with pytest.raises(ValueError, match="estimate_c_o"):
-        derived_constants(consts, single_block_target(), gamma=0.5)
+_VALID = {ClosedFormConstants: dict(c_f=1.0, c_h=1.0, c_o=1.0, c_c=1.0),
+          SystemConstants: dict(c_L=1.0, c_I=1.0, m=(1,))}
 
 
-@pytest.mark.parametrize("c_o", [0.0, -1.0, float("nan")])
-def test_system_constants_reject_nonpositive_c_o(c_o):
-    with pytest.raises(ValueError, match="c_o must be strictly positive when set"):
-        SystemConstants(c_f=1.0, c_h=1.0, c_o=c_o, c_c=1.0, m=(1,))
-
-
-def test_derived_constants_hand_case():
-    c_L, c_I = derived_constants(unit_consts(), single_block_target(), gamma=0.5)
-    assert c_L == pytest.approx(4.0 / 3.0)
-    assert c_I == pytest.approx(2.0 / 3.0)
-    assert 1.0 / c_I == pytest.approx(1.5)
-
-
-def test_derived_constants_small_gamma_limit():
-    _, c_I = derived_constants(unit_consts(), single_block_target(), gamma=1e-12)
-    assert c_I == pytest.approx(1.0, rel=1e-9)  # -> c_N * c_c * c_o
-
-
-def test_derived_constants_rejects_large_gamma():
-    consts = SystemConstants(c_f=2.0, c_h=2.0, c_o=0.1, c_c=0.1, m=(1,))
-    with pytest.raises(ValueError, match="injectivity"):
-        derived_constants(consts, single_block_target(lam=0.9, gamma=0.9), gamma=0.9)
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("cls,name", [(cls, name) for cls, kw in _VALID.items() for name in kw],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_constants_reject_nonpositive(cls, name, value):
+    kw = dict(_VALID[cls], **{name: (value,) if name == "m" else value})
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        cls(**kw)
 
 
 # --- polynomial mode ---------------------------------------------------------
@@ -406,7 +386,7 @@ def test_invert_returns_winner_run_alone(osc, osc_series, mode):
     from kklio.transform import _best_start, _gauss_newton
     t = osc.transform if mode == "polynomial" else osc_series
     cfg = InverseConfig(box=osc.plant.box_x_enlarged)
-    starts = cfg.start_points()
+    starts = cfg.start_points
     offset = np.array([0.05, -0.03, 0.02, -0.04])
     dropped = 0
     for x_true in ([0.4, 0.2], [-1.3, 0.9], [1.7, -1.5]):
@@ -538,8 +518,13 @@ def test_monomials_match_product_loop():
 
 def test_start_points_fixed_lattice():
     # 7 interior points per axis, cell centres, first axis slowest
-    pts = InverseConfig(box=Box([-3.0, 0.0], [4.0, 0.7])).start_points()
+    cfg = InverseConfig(box=Box([-3.0, 0.0], [4.0, 0.7]))
+    pts = cfg.start_points
     assert pts.shape == (49, 2)
+    # built once with the config and shared by every inversion, so read-only
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
     centres = np.arange(7) + 0.5
     np.testing.assert_allclose(pts[:7], np.stack([np.full(7, -3.0 + centres[0]),
                                                   0.1 * centres], axis=1), rtol=0, atol=1e-15)
