@@ -13,9 +13,9 @@ from .plant import (PlantModel, PlantTrace, distinguishability_map, estimate_c_o
                     estimate_lipschitz, simulate_plant)
 from .transform import (ClosedFormConstants, InverseConfig, KklTransform, SystemConstants,
                         TargetSystem, estimate_forward_lipschitz, estimate_injectivity, eval_T,
-                        eval_T_poly, eval_T_series, gamma_star, invert_T, load_coefficients,
-                        make_polynomial_transform, make_series_transform, save_coefficients,
-                        solve_poly_T, transform_residual)
+                        eval_T_poly, eval_T_series, gamma_star, invert_T,
+                        make_polynomial_transform, make_series_transform, solve_poly_T,
+                        transform_residual)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "gamma_star", "solve_poly_T", "make_polynomial_transform",
     "make_series_transform", "eval_T", "eval_T_poly", "eval_T_series", "invert_T",
     "transform_residual", "estimate_forward_lipschitz", "estimate_injectivity",
-    "save_coefficients", "load_coefficients",
     "CanonicalBlock", "CoordChangeSeq", "build_coord_change", "assemble_target_matrix",
     "ObserverConfig", "ObserverState", "init_observer", "step",
     "recover_x_bounds",

@@ -9,8 +9,9 @@ Subcommands:
 The options are the fields of ``RunConfig``, which checks their values, plus
 ``gammas``. A flat JSON config file can supply any ``run``/``compare``
 option; explicit command-line flags win on conflict. Exit codes: 0 success,
-2 enclosure violation, 3 configuration error, 4 the true state left the
-enlarged box (the guarantees no longer hold from that step on).
+2 enclosure violation, 3 configuration error (a command-line usage error
+too), 4 the true state left the enlarged box (the guarantees no longer hold
+from that step on).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", choices=("on", "off"), default=None)
     p.add_argument("--disturbance", choices=("on", "off"), default=None)
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--coeffs", default=None, help="coefficient table to load instead of solving")
     p.add_argument("--config", default=None, help="JSON file with defaults (CLI flags win)")
 
 
@@ -85,7 +85,11 @@ def _run_options(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage; it exits 2, our code for a violation
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         options = _run_options(args)
         gammas = options.pop("gammas", None)

@@ -80,9 +80,6 @@ class CanonicalBlock:
         # rotation by -k*theta
         return np.array([[c, s], [-s, c]])
 
-    def r_block_inv(self, k: int) -> np.ndarray:
-        return self.r_block(k).T if self.kind == "rotation" else self.r_block(k)
-
     def sup_frame_norm(self) -> float:
         # max-norm of a planar rotation is |cos| + |sin| <= sqrt(2)
         return math.sqrt(2.0) if self.kind == "rotation" else 1.0
@@ -124,10 +121,11 @@ class CoordChangeSeq:
         return _blockdiag([b.r_block(k) for b in self.blocks])
 
     def S(self, k: int) -> np.ndarray:
-        """Inverse frame; ``R(k) @ S(k)`` is the identity."""
-        if k < 0:
-            raise ValueError("frame index must be nonnegative")
-        return _blockdiag([b.r_block_inv(k) for b in self.blocks])
+        """Inverse frame ``R(k).T``: every block of ``R(k)`` is ``+-1`` or a rotation.
+
+        Returned C-contiguous, like ``R(k)``, so products with it sum in the same order.
+        """
+        return np.ascontiguousarray(self.R(k).T)
 
     def frame_norms(self, ks) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(||R_k||, ||inv(R_k)||)`` for an array of indices."""

@@ -29,7 +29,7 @@ from .intervals import Box, inf_norm
 from .observer import init_observer, recover_x_bounds, step
 from .plant import simulate_plant
 from .svg import write_svg
-from .transform import eval_T, load_coefficients
+from .transform import eval_T
 
 CHECK_SLACK = 1e-9
 
@@ -72,7 +72,6 @@ class RunConfig:
                                       and len(v) == 2 and all(map(_is_int, v)))
     out: Optional[str | os.PathLike] = _option(None, _is_path)
     svg: Optional[str | os.PathLike] = _option(None, _is_path)
-    coeffs: Optional[str | os.PathLike] = _option(None, _is_path)
 
     def __post_init__(self):
         for f in fields(self):
@@ -122,20 +121,12 @@ class RunResult:
 
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Build the stack, run the observer along a simulated trajectory."""
-    coeffs = None
-    if cfg.coeffs is not None:
-        coeffs, basis = load_coefficients(cfg.coeffs)
-        if set(basis) != set(presets.POLY_BASIS):
-            raise ValueError(f"coefficient table basis {basis} differs from the preset "
-                             f"basis {presets.POLY_BASIS}")
-        # the table may list the basis in any order: match columns by exponents
-        coeffs = coeffs[:, [basis.index(e) for e in presets.POLY_BASIS]]
     x0 = np.asarray(cfg.x0, dtype=float)
     x0_box_lo = x0 - cfg.x0_halfwidth
     x0_box_hi = x0 + cfg.x0_halfwidth
     bundle = presets.build_preset(
         cfg.preset, gamma=cfg.gamma, tau=cfg.tau, seed=cfg.seed,
-        x0_box=Box(x0_box_lo, x0_box_hi), coeffs=coeffs,
+        x0_box=Box(x0_box_lo, x0_box_hi),
     )
     plant = bundle.plant
     w, w_lo, w_hi, d, d_lo, d_hi = _noise_profile(cfg, plant)

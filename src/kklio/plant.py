@@ -48,13 +48,19 @@ class PlantModel:
             if box.dim != self.n_x:
                 raise ValueError("box dimension does not match n_x")
         if not self.box_x.contains_box(self.box_x0):
-            raise ValueError("initial box must lie inside the invariant box")
+            raise ValueError(f"initial box {_corners(self.box_x0)} must lie inside the "
+                             f"invariant box {_corners(self.box_x)}")
         if not self.box_x_enlarged.contains_box(self.box_x):
-            raise ValueError("enlarged box must contain the invariant box")
+            raise ValueError(f"enlarged box {_corners(self.box_x_enlarged)} must contain the "
+                             f"invariant box {_corners(self.box_x)}")
 
     def f_inv_clamped(self, x) -> np.ndarray:
         """One backward step, saturated into the enlarged box."""
         return self.box_x_enlarged.clamp(self.f_inv(np.asarray(x, dtype=float)))
+
+
+def _corners(box: Box) -> str:
+    return f"lo={[float(v) for v in box.lo]} hi={[float(v) for v in box.hi]}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,8 +144,7 @@ class Bundle:
 
 
 def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
-                     seed: int = ESTIMATION_SEED, x0_box: Optional[Box] = None,
-                     coeffs: Optional[np.ndarray] = None) -> Bundle:
+                     seed: int = ESTIMATION_SEED, x0_box: Optional[Box] = None) -> Bundle:
     """Assemble the demo plant, transform, frames, constants and observer.
 
     The bundle's constants are the ones a run uses, ``c_L`` and ``c_I``,
@@ -161,7 +160,7 @@ def build_oscillator(gamma: float = 1.0, tau: float = DEFAULT_TAU,
     plant = make_oscillator_plant(tau, x0_box)
     blocks = tuple(CanonicalBlock.positive_real(l) for l in DEFAULT_LAMBDAS)
     target = TargetSystem(channels=((blocks, np.ones(len(blocks))),), gamma=gamma)
-    transform = make_polynomial_transform(plant, target, POLY_BASIS, coeffs=coeffs)
+    transform = make_polynomial_transform(plant, target, POLY_BASIS)
     coord = build_coord_change(blocks, gamma)
     consts = SystemConstants(
         c_L=estimate_forward_lipschitz(transform, samples=TRANSFORM_SAMPLES, seed=seed + 3),

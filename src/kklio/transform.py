@@ -225,8 +225,8 @@ class KklTransform:
     """Evaluable transform in either polynomial or series mode.
 
     In series mode ``series_n`` is the truncation length, fixed when the
-    transform is built; it stays ``None`` when the scaled target matrix is
-    not a contraction, and evaluation then raises. In polynomial mode
+    transform is built; building raises when the scaled target matrix is not
+    a contraction. In polynomial mode
     ``jac_basis`` and ``jac_coeffs`` hold the Jacobian: the derivative
     monomials and a ``(len(jac_basis), n_z * n_x)`` table, built from
     ``basis`` and ``poly_coeffs`` (see ``jacobian_poly``).
@@ -312,9 +312,6 @@ def eval_T_series(t: KklTransform, x) -> np.ndarray:
     ``series_tol``; it requires the scaled target matrix to be a
     contraction.
     """
-    if t.series_n is None:
-        raise ValueError(f"scaled target matrix has norm {mat_inf_norm(t.target.A):.3g} >= 1; "
-                         "series may diverge")
     x = np.asarray(x, dtype=float)
     a = t.target.A
     b = t.target.B
@@ -329,10 +326,10 @@ def eval_T_series(t: KklTransform, x) -> np.ndarray:
     return acc
 
 
-def _series_length(target: TargetSystem, plant: PlantModel, series_tol: float) -> Optional[int]:
+def _series_length(target: TargetSystem, plant: PlantModel, series_tol: float) -> int:
     a_norm = mat_inf_norm(target.A)
     if a_norm >= 1.0:
-        return None
+        raise ValueError(f"scaled target matrix has norm {a_norm:.3g} >= 1; series may diverge")
     box = plant.box_x_enlarged
     per_axis = max(2, int(round(_SERIES_SUP_GRID ** (1.0 / box.dim))))
     grid = box.grid(per_axis)
@@ -387,17 +384,15 @@ def solve_poly_T(plant: PlantModel, target: TargetSystem,
 
 
 def make_polynomial_transform(plant: PlantModel, target: TargetSystem,
-                              basis: Sequence[Sequence[int]],
-                              coeffs: Optional[np.ndarray] = None) -> KklTransform:
-    """Build (or wrap precomputed) polynomial-mode transform and verify it.
+                              basis: Sequence[Sequence[int]]) -> KklTransform:
+    """Solve the polynomial-mode transform (``solve_poly_T``) and verify it.
 
     The linear-in-target identity is checked on sampled points of the
     invariant box at a 1e-10 tolerance.
     """
-    if coeffs is None:
-        coeffs = solve_poly_T(plant, target, basis)
     t = KklTransform(mode="polynomial", target=target, plant=plant,
-                     poly_coeffs=coeffs, basis=tuple(tuple(e) for e in basis))
+                     poly_coeffs=solve_poly_T(plant, target, basis),
+                     basis=tuple(tuple(e) for e in basis))
     resid = transform_residual(t, _check_points(plant.box_x))
     if resid > _POLY_CHECK_TOL:
         raise ValueError(f"polynomial transform residual {resid:.3e} exceeds {_POLY_CHECK_TOL}")
@@ -675,43 +670,3 @@ def estimate_injectivity(t: KklTransform, samples: int = 200000, seed: int = 8) 
     if raw <= 1e-12:
         raise ValueError(f"transform is numerically non-injective: sampled ratio {raw:.3e}")
     return 0.9 * raw / t.target.gamma ** (t.target.m_bar - 1)
-
-
-# ---------------------------------------------------------------------------
-# plain-text coefficient tables
-
-
-def save_coefficients(t: KklTransform, path) -> None:
-    """Write the polynomial coefficient table (row, exponents..., value)."""
-    if t.mode != "polynomial":
-        raise ValueError("only polynomial transforms have a coefficient table")
-    lines = ["# row " + " ".join(f"e{i+1}" for i in range(t.plant.n_x)) + " coeff"]
-    for r in range(t.poly_coeffs.shape[0]):
-        for e, c in zip(t.basis, t.poly_coeffs[r]):
-            lines.append(f"{r} " + " ".join(str(p) for p in e) + f" {c:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_coefficients(path) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Read a coefficient table written by ``save_coefficients``."""
-    rows: dict[int, dict[tuple[int, ...], float]] = {}
-    basis_order: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            r = int(parts[0])
-            e = tuple(int(p) for p in parts[1:-1])
-            c = float(parts[-1])
-            rows.setdefault(r, {})[e] = c
-            if e not in basis_order:
-                basis_order.append(e)
-    n_rows = max(rows) + 1
-    coeffs = np.zeros((n_rows, len(basis_order)))
-    for r, entries in rows.items():
-        for j, e in enumerate(basis_order):
-            coeffs[r, j] = entries.get(e, 0.0)
-    return coeffs, tuple(basis_order)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -92,44 +93,6 @@ def test_svg_output(tmp_path):
     assert "x1:" in content and "x2:" in content
 
 
-def test_coeffs_reuse_roundtrip(tmp_path):
-    from kklio.presets import build_oscillator
-    from kklio.transform import save_coefficients
-    path = tmp_path / "coeffs.txt"
-    save_coefficients(build_oscillator(gamma=1.0).transform, path)
-    res = run_experiment(RunConfig(steps=5, noise=False, window=(0, 5), coeffs=str(path)))
-    assert res.summary["violations"] == 0
-
-
-def test_coeffs_table_in_any_basis_order(tmp_path):
-    # a table listing the basis in another order is the same transform
-    from kklio.presets import POLY_BASIS, build_oscillator
-    from kklio.transform import load_coefficients, save_coefficients
-    path = tmp_path / "coeffs.txt"
-    save_coefficients(build_oscillator(gamma=1.0).transform, path)
-    header, *lines = path.read_text().splitlines()
-    reordered = tmp_path / "reordered.txt"
-    reordered.write_text("\n".join([header] + lines[::-1]) + "\n")
-    assert load_coefficients(reordered)[1] == POLY_BASIS[::-1]
-    outs = []
-    for table in (path, reordered):
-        outs.append(tmp_path / f"{table.stem}.csv")
-        run_experiment(RunConfig(steps=5, noise=True, window=(0, 5), coeffs=str(table),
-                                 out=str(outs[-1])))
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-
-
-def test_cli_coeffs_foreign_basis_exit_3(tmp_path, capsys):
-    from kklio.presets import POLY_BASIS, build_oscillator
-    from kklio.transform import save_coefficients
-    path = tmp_path / "coeffs.txt"
-    save_coefficients(build_oscillator(gamma=1.0).transform, path)
-    path.write_text(path.read_text().replace(" 1 1 ", " 3 0 "))
-    assert main(["run", "--steps", "3", "--coeffs", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "(3, 0)" in err and str(POLY_BASIS) in err
-
-
 def test_window_falls_back_when_out_of_range():
     res = run_experiment(RunConfig(steps=20, noise=True))  # default window starts at 100
     s = res.summary
@@ -185,6 +148,20 @@ def test_cli_x0_of_other_dimension_exit_3(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert "configuration error" in err and "'x0'" in err
+
+
+@pytest.mark.parametrize("config,initial", [
+    ({"x0": [5.0, 5.0]}, "lo=[4.5, 4.5] hi=[5.5, 5.5]"),
+    ({"x0_halfwidth": 3.0}, "lo=[-2.0, -3.0] hi=[4.0, 3.0]"),
+], ids=["x0", "x0_halfwidth"])
+def test_cli_initial_box_outside_invariant_box_exit_3(tmp_path, capsys, config, initial):
+    # the error names the corners of both boxes, not only their nesting
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"initial box {initial} must lie inside the invariant box" in err
+    assert "invariant box lo=[-2.0, -2.0] hi=[2.0, 2.0]" in err
 
 
 def test_config_accepts_point_box_and_one_step_window():
@@ -305,6 +282,33 @@ def test_cli_config_unknown_key_exit_3(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"stepz": 12}))
     assert main(["run", "--config", str(cfg_path)]) == 3
+
+
+def test_run_config_has_no_coeffs():
+    # the build always solves T: no option loads a coefficient table
+    assert "coeffs" not in {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_cli_config_coeffs_key_exit_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": 5, "coeffs": "t.txt"}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "unknown config keys: ['coeffs']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--steps", "abc"], ["run", "--noise", "maybe"], ["run", "--bogus"],
+    ["frobnicate"], ["run", "--coeffs", "t.txt"],
+], ids=["steps-abc", "noise-maybe", "unknown-flag", "unknown-command", "coeffs"])
+def test_cli_usage_error_exit_3(capsys, argv):
+    # a usage error is a configuration error; exit 2 means an enclosure violation
+    assert main(argv) == 3
+    assert "usage: kklio" in capsys.readouterr().err
+
+
+def test_cli_help_exit_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "usage: kklio run" in capsys.readouterr().out
 
 
 def test_cli_config_variant_key_exit_3(tmp_path, capsys):

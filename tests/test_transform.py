@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from kklio import (Box, CanonicalBlock, ClosedFormConstants, InverseConfig, KklTransform,
                    PlantModel, SystemConstants, TargetSystem, estimate_forward_lipschitz,
                    estimate_injectivity, eval_T, eval_T_poly, eval_T_series, gamma_star, invert_T,
-                   load_coefficients, make_polynomial_transform, make_series_transform,
-                   save_coefficients, solve_poly_T, transform_residual)
+                   make_polynomial_transform, make_series_transform, solve_poly_T,
+                   transform_residual)
 from kklio.presets import (POLY_BASIS, build_oscillator, closed_form_constants,
                            make_oscillator_plant)
 
@@ -222,9 +222,8 @@ def test_series_rejects_noncontractive_scaled_matrix():
     # target matrix is not a contraction, so the tail bound cannot be applied
     target = TargetSystem(channels=(([CanonicalBlock.rotation(0.9, math.pi / 4)], [0.0, 1.0]),),
                           gamma=1.0)
-    t = make_series_transform(plant, target)
     with pytest.raises(ValueError, match="series"):
-        eval_T_series(t, np.zeros(2))
+        make_series_transform(plant, target)
 
 
 # --- inversion ---------------------------------------------------------------
@@ -552,20 +551,6 @@ def test_lipschitz_sandwich(osc):
 def test_estimated_constants_positive(osc):
     assert estimate_forward_lipschitz(osc.transform, samples=20000, seed=1) > 0
     assert estimate_injectivity(osc.transform, samples=20000, seed=2) > 0
-
-
-# --- coefficient tables ------------------------------------------------------
-
-
-def test_coefficients_roundtrip(tmp_path, osc):
-    path = tmp_path / "coeffs.txt"
-    save_coefficients(osc.transform, path)
-    coeffs, basis = load_coefficients(path)
-    assert basis == POLY_BASIS
-    np.testing.assert_array_equal(coeffs, osc.transform.poly_coeffs)
-    rebuilt = make_polynomial_transform(osc.plant, osc.target, basis, coeffs=coeffs)
-    pts = osc.plant.box_x.sample(np.random.default_rng(3), 50)
-    np.testing.assert_array_equal(eval_T(rebuilt, pts), eval_T(osc.transform, pts))
 
 
 def test_target_system_validation():
