@@ -184,7 +184,7 @@ def closed_form_constants(bundle: Bundle) -> tuple[ClosedFormConstants, float]:
     c_f, c_h = estimate_lipschitz(plant, samples=LIPSCHITZ_SAMPLES, seed=seed)
     c_o = estimate_c_o(plant, bundle.target.m, samples=C_O_SAMPLES, seed=seed + 2)
     consts = ClosedFormConstants(c_f=c_f, c_h=c_h, c_o=c_o, c_c=bundle.target.c_c())
-    return consts, gamma_star(consts, bundle.target, cap=False)
+    return consts, gamma_star(consts, bundle.target)
 
 
 def build_preset(name: str, **kwargs) -> Bundle:

@@ -4,14 +4,16 @@ The transform ``T`` maps plant states into coordinates where the dynamics
 are linear: ``T(f(x)) = A @ T(x) + B @ h(x)`` with ``A = gamma * blockdiag``
 of user-chosen canonical blocks (``coords.CanonicalBlock``, the blocks the
 coordinate frames are built from) and ``B`` the block-diagonal stack of the
-input vectors. Two evaluation modes are provided:
+input vectors. ``KklTransform`` is the one place a transform is made, and
+its basis picks the mode:
 
 * ``polynomial`` -- when the dynamics are affine and the output map lies in
   the span of a monomial basis closed under composition with the dynamics,
-  the coefficient matching problem is a small linear system solved exactly.
-* ``series`` -- the generic truncated backward series, with the inverse
-  dynamics saturated into the plant's enlarged box and the truncation length
-  chosen from the geometric tail bound.
+  the coefficient matching problem is a small linear system solved exactly,
+  and the solution is checked against the identity before any use.
+* ``series`` (no basis) -- the generic truncated backward series, with the
+  inverse dynamics saturated into the plant's enlarged box and the
+  truncation length chosen from the geometric tail bound.
 
 The left inverse is realized as a box-constrained multi-start Gauss-Newton
 least-squares solve; it always returns the best point found together with
@@ -178,13 +180,13 @@ class ClosedFormConstants:
         _require_positive(self, ("c_f", "c_h", "c_o", "c_c"))
 
 
-def gamma_star(consts: ClosedFormConstants, target: TargetSystem, cap: bool = True) -> float:
+def gamma_star(consts: ClosedFormConstants, target: TargetSystem) -> float:
     """Largest gain for which the transform is certified Lipschitz injective.
 
     Three-term minimum: series convergence, backward-chain contraction, and
     positivity of the injectivity margin, with the norms taken per
-    ``(A_i, b_i)``. With ``cap=True`` the value is clipped to 1, the design
-    range of the gain.
+    ``(A_i, b_i)``. It may exceed 1, the top of the design range of the
+    gain.
     """
     a_norms = np.array([mat_inf_norm(a_i) for a_i, _ in target.pairs])
     b_norms = np.array([inf_norm(b_i) for _, b_i in target.pairs])
@@ -194,8 +196,7 @@ def gamma_star(consts: ClosedFormConstants, target: TargetSystem, cap: bool = Tr
     tail = float(np.max((a_norms * consts.c_f) ** np.array(target.m)))
     t3 = consts.c_c * consts.c_o / (af * consts.c_c * consts.c_o
                                     + b_max * consts.c_h * consts.c_f * tail)
-    g = min(1.0 / a_max, 1.0 / af, t3)
-    return min(g, 1.0) if cap else g
+    return min(1.0 / a_max, 1.0 / af, t3)
 
 
 @dataclass(frozen=True)
@@ -222,46 +223,48 @@ class InverseConfig:
 
 @dataclass(frozen=True, eq=False)
 class KklTransform:
-    """Evaluable transform in either polynomial or series mode.
+    """The transform of ``plant`` into ``target`` coordinates; the basis picks the mode.
 
-    In series mode ``series_n`` is the truncation length, fixed when the
-    transform is built; building raises when the scaled target matrix is not
-    a contraction. In polynomial mode
-    ``jac_basis`` and ``jac_coeffs`` hold the Jacobian: the derivative
-    monomials and a ``(len(jac_basis), n_z * n_x)`` table, built from
-    ``basis`` and ``poly_coeffs`` (see ``jacobian_poly``).
+    With a monomial ``basis`` the constructor solves the coefficient table
+    (``solve_poly_T``), builds the Jacobian table (``jac_basis``, the
+    derivative monomials, and ``jac_coeffs``, ``(len(jac_basis), n_z * n_x)``;
+    see ``jacobian_poly``) and checks ``T(f(x)) = A T(x) + B h(x)`` on sampled
+    points of the invariant box. Without one, ``series_n``, the series length,
+    is fixed at the ``series_tol`` tail bound, and building raises when the
+    scaled target matrix is not a contraction. ``series_tol`` must be finite
+    and positive; the table and ``mode`` cannot be passed in.
     """
 
-    mode: str
     target: TargetSystem
     plant: PlantModel
-    series_tol: float = 1e-9
-    poly_coeffs: Optional[np.ndarray] = None
     basis: Optional[tuple[tuple[int, ...], ...]] = None
+    series_tol: float = 1e-9
+    mode: str = field(init=False)
+    poly_coeffs: Optional[np.ndarray] = field(init=False, default=None, repr=False)
     series_n: Optional[int] = field(init=False, default=None, repr=False)
     jac_basis: Optional[tuple[tuple[int, ...], ...]] = field(init=False, default=None, repr=False)
     jac_coeffs: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("series", "polynomial"):
-            raise ValueError("mode must be 'series' or 'polynomial'")
-        if self.mode == "polynomial":
-            if self.poly_coeffs is None or self.basis is None:
-                raise ValueError("polynomial mode needs coefficients and a basis")
-            coeffs = np.asarray(self.poly_coeffs, dtype=float)
-            if coeffs.shape != (self.target.n_z, len(self.basis)):
-                raise ValueError("coefficient table shape does not match target/basis")
-            basis = tuple(tuple(e) for e in self.basis)
-            if any(len(e) != self.plant.n_x for e in basis):
-                raise ValueError("basis exponent tuples must have length n_x")
-            jac_basis, jac_coeffs = _jacobian_table(basis, coeffs, self.plant.n_x)
-            object.__setattr__(self, "poly_coeffs", coeffs)
-            object.__setattr__(self, "basis", basis)
-            object.__setattr__(self, "jac_basis", jac_basis)
-            object.__setattr__(self, "jac_coeffs", jac_coeffs)
-        else:
+        if not (math.isfinite(self.series_tol) and self.series_tol > 0.0):
+            raise ValueError(f"series_tol must be finite and positive, got {self.series_tol!r}")
+        if self.basis is None:
+            object.__setattr__(self, "mode", "series")
             object.__setattr__(self, "series_n",
                                _series_length(self.target, self.plant, self.series_tol))
+            return
+        coeffs = solve_poly_T(self.plant, self.target, self.basis)
+        basis = tuple(tuple(int(p) for p in e) for e in self.basis)
+        jac_basis, jac_coeffs = _jacobian_table(basis, coeffs, self.plant.n_x)
+        object.__setattr__(self, "mode", "polynomial")
+        object.__setattr__(self, "poly_coeffs", coeffs)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "jac_basis", jac_basis)
+        object.__setattr__(self, "jac_coeffs", jac_coeffs)
+        pts = self.plant.box_x.sample(np.random.default_rng(1189), _POLY_CHECK_POINTS)
+        resid = transform_residual(self, pts)
+        if resid > _POLY_CHECK_TOL:
+            raise ValueError(f"polynomial transform residual {resid:.3e} exceeds {_POLY_CHECK_TOL}")
 
 
 def eval_T(t: KklTransform, x) -> np.ndarray:
@@ -293,7 +296,8 @@ def _jacobian_table(basis, coeffs: np.ndarray, n_x: int):
 
     ``d x^e / d x_i = e_i x^(e - u_i)``, so column ``r * n_x + i`` of the
     table holds ``e_i * coeffs[r, j]`` in the row of the monomial
-    ``e_j - u_i``; no two basis monomials share that row and column.
+    ``e_j - u_i``. The basis exponents are distinct (``solve_poly_T`` checks
+    it), so no two basis monomials share that row and column.
     """
     derivs = [(e[:i] + (p - 1,) + e[i + 1:], i, p * coeffs[:, j])
               for j, e in enumerate(basis) for i, p in enumerate(e) if p]
@@ -344,7 +348,7 @@ def _series_length(target: TargetSystem, plant: PlantModel, series_tol: float) -
 
 def make_series_transform(plant: PlantModel, target: TargetSystem,
                           series_tol: float = 1e-9) -> KklTransform:
-    return KklTransform(mode="series", target=target, plant=plant, series_tol=series_tol)
+    return KklTransform(target, plant, series_tol=series_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +360,17 @@ def solve_poly_T(plant: PlantModel, target: TargetSystem,
     """Coefficient table of the exact polynomial transform.
 
     Requires affine dynamics and an output map inside the span of ``basis``;
-    the basis must be closed under composition with the dynamics. Each
+    the basis must list distinct exponent tuples and be closed under
+    composition with the dynamics. Each
     target block yields a small linear system in coefficient space; a
     (near-)singular system means a resonant block eigenvalue.
     """
     basis = tuple(tuple(int(p) for p in e) for e in basis)
     if any(len(e) != plant.n_x or any(p < 0 for p in e) for e in basis):
         raise ValueError("basis exponents must be nonnegative tuples of length n_x")
+    repeated = next((e for j, e in enumerate(basis) if e in basis[:j]), None)
+    if repeated is not None:
+        raise ValueError(f"basis lists the exponent tuple {repeated} more than once")
     f_mat, f_off = _affine_parts(plant)
     k_mat = _composition_matrix(f_mat, f_off, basis)
     h_coeffs = _output_in_basis(plant, basis)
@@ -385,18 +393,8 @@ def solve_poly_T(plant: PlantModel, target: TargetSystem,
 
 def make_polynomial_transform(plant: PlantModel, target: TargetSystem,
                               basis: Sequence[Sequence[int]]) -> KklTransform:
-    """Solve the polynomial-mode transform (``solve_poly_T``) and verify it.
-
-    The linear-in-target identity is checked on sampled points of the
-    invariant box at a 1e-10 tolerance.
-    """
-    t = KklTransform(mode="polynomial", target=target, plant=plant,
-                     poly_coeffs=solve_poly_T(plant, target, basis),
-                     basis=tuple(tuple(e) for e in basis))
-    resid = transform_residual(t, _check_points(plant.box_x))
-    if resid > _POLY_CHECK_TOL:
-        raise ValueError(f"polynomial transform residual {resid:.3e} exceeds {_POLY_CHECK_TOL}")
-    return t
+    """The polynomial transform over ``basis``, solved and checked by ``KklTransform``."""
+    return KklTransform(target, plant, basis)
 
 
 def transform_residual(t: KklTransform, pts: np.ndarray) -> float:
@@ -405,10 +403,6 @@ def transform_residual(t: KklTransform, pts: np.ndarray) -> float:
     lhs = eval_T(t, fx)
     rhs = eval_T(t, pts) @ t.target.A.T + np.asarray(t.plant.h(pts), dtype=float) @ t.target.B.T
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def _check_points(box: Box, n: int = _POLY_CHECK_POINTS) -> np.ndarray:
-    return box.sample(np.random.default_rng(1189), n)
 
 
 def _affine_parts(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:

@@ -53,7 +53,7 @@ def test_closed_form_constants_looks_up_module_estimator(monkeypatch):
     assert calls == [("lipschitz", b.plant, kklio.presets.LIPSCHITZ_SAMPLES, 5),
                      ("c_o", b.plant, (4,), kklio.presets.C_O_SAMPLES, 7)]
     assert consts == ClosedFormConstants(c_f=2.0, c_h=3.0, c_o=0.25, c_c=b.target.c_c())
-    assert gs_raw == gamma_star(consts, b.target, cap=False)
+    assert gs_raw == gamma_star(consts, b.target)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.7])

@@ -50,17 +50,8 @@ def linear_plant(f_mat, h_mat, lo=-2.0, hi=2.0, enlarge=1.0):
 
 
 def test_gamma_star_hand_case():
-    # min{1/0.5, 1/0.5, 1/(0.5 + 0.5)} = 1, already at the cap
+    # min{1/0.5, 1/0.5, 1/(0.5 + 0.5)} = 1
     assert gamma_star(unit_consts(), single_block_target()) == pytest.approx(1.0)
-
-
-def test_gamma_star_capped_at_one():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        c = ClosedFormConstants(c_f=rng.uniform(0.1, 3), c_h=rng.uniform(0.1, 3),
-                                c_o=rng.uniform(0.1, 3), c_c=rng.uniform(0.1, 3))
-        t = real_target((0.3, 0.6), [1.0, 0.5], gamma=0.5)
-        assert 0.0 < gamma_star(c, t) <= 1.0
 
 
 def test_gamma_star_oscillator_regression():
@@ -456,33 +447,64 @@ def test_jacobian_row_alone_equals_row_in_batch(osc):
 
 
 @st.composite
-def _random_poly_transforms(draw):
+def _random_poly_tables(draw):
+    # any table over any basis: an arbitrary table cannot become a transform,
+    # so the Jacobian table is checked on its own
     n_x = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 3)] * n_x).filter(lambda e: sum(e) <= 3)
-    basis = draw(st.lists(exps, min_size=1, max_size=8, unique=True))
+    basis = tuple(draw(st.lists(exps, min_size=1, max_size=8, unique=True)))
     n_z = draw(st.integers(1, 3))
     coeffs = draw(arrays(float, (n_z, len(basis)), elements=st.floats(-2.0, 2.0)))
     x = draw(arrays(float, (5, n_x), elements=st.floats(-1.5, 1.5)))
-    plant = linear_plant(np.eye(n_x), np.ones((1, n_x)))
-    target = real_target((0.1, 0.2, 0.3)[:n_z], np.ones(n_z), gamma=1.0)
-    return KklTransform(mode="polynomial", target=target, plant=plant,
-                        poly_coeffs=coeffs, basis=tuple(basis)), x
+    return basis, coeffs, x
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_poly_transforms())
+@given(_random_poly_tables())
 def test_jacobian_table_matches_central_differences(case):
     # degree <= 3, so the central difference errs by h^2/6 times the third
     # derivative, about 1e-10 here, plus rounding of order eps / h
-    from kklio.transform import jacobian_poly
-    t, x = case
-    n_x, h = x.shape[1], 1e-5
-    jac = jacobian_poly(t, x)
-    assert jac.shape == (len(x), t.target.n_z, n_x)
+    from kklio.transform import _jacobian_table, _monomials
+    basis, coeffs, x = case
+    (n_z, _), n_x, h = coeffs.shape, x.shape[1], 1e-5
+    jac_basis, table = _jacobian_table(basis, coeffs, n_x)
+    jac = (_monomials(x, jac_basis) @ table).reshape(len(x), n_z, n_x)
     for i in range(n_x):
         step = h * np.eye(n_x)[i]
-        central = (eval_T_poly(t, x + step) - eval_T_poly(t, x - step)) / (2 * h)
+        central = (_monomials(x + step, basis) - _monomials(x - step, basis)) @ coeffs.T / (2 * h)
         np.testing.assert_allclose(jac[..., i], central, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("kw", [{"poly_coeffs": np.zeros((4, 5))}, {"mode": "polynomial"}],
+                         ids=["poly_coeffs", "mode"])
+def test_transform_takes_no_table_or_mode(osc, kw):
+    # a polynomial transform comes only from the solve and its identity check
+    with pytest.raises(TypeError, match=next(iter(kw))):
+        KklTransform(target=osc.target, plant=osc.plant, basis=POLY_BASIS, **kw)
+
+
+def test_transform_rejects_basis_not_closed(osc):
+    with pytest.raises(ValueError, match="not closed"):
+        KklTransform(osc.target, osc.plant, basis=((2, 0), (1, 0), (0, 1)))
+
+
+def test_transform_rejects_repeated_basis_tuple(osc):
+    # a repeated monomial passes the identity check, yet its second copy
+    # would overwrite the first in the Jacobian table, and Gauss-Newton
+    # would follow a wrong Jacobian
+    basis = ((2, 0), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1))
+    with pytest.raises(ValueError, match=r"\(2, 0\) more than once"):
+        solve_poly_T(osc.plant, osc.target, basis)
+    with pytest.raises(ValueError, match=r"\(2, 0\) more than once"):
+        make_polynomial_transform(osc.plant, osc.target, basis)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_transform_rejects_bad_series_tol(osc, tol):
+    # inf would size a one-term series, which is not T
+    with pytest.raises(ValueError, match="series_tol"):
+        make_series_transform(osc.plant, osc.target, series_tol=tol)
 
 
 def test_best_start_matches_sorted_keys():
