@@ -5,10 +5,11 @@ there is a closed-form sequence of invertible frames ``R_k`` such that
 ``R_{k+1} @ A @ inv(R_k)`` is one constant matrix ``Lambda`` that is
 elementwise nonnegative and Schur:
 
-* ``positive_real(lam)``  : R_k = 1,        Lambda block = gamma*lam
-* ``negative_real(lam)``  : R_k = (-1)^k,   Lambda block = gamma*|lam|
-* ``rotation(rho, theta)``: R_k = rot(-k*theta), Lambda block = gamma*rho*I2
+* ``positive_real(lam)``, ``negative_real(lam)``: R_k = sign(lam)^k
+* ``rotation(rho, theta)``: R_k = rot(-k*theta)
 
+``Lambda`` is ``diag(gamma * modulus)``, one entry per block row, and the gain
+lies in (0, 1], so it is Schur because every block's modulus is below 1.
 Frames are evaluated directly from ``k`` (never by accumulating products),
 so there is no drift for large ``k``.
 """
@@ -39,6 +40,9 @@ class CanonicalBlock:
             raise ValueError("negative_real block needs lam < 0")
         if self.kind == "rotation" and not self.rho > 0.0:
             raise ValueError("rotation block needs rho > 0")
+        for name in ("lam",) if self.kind == "rotation" else ("rho", "theta"):
+            if getattr(self, name) != 0.0:
+                raise ValueError(f"{self.kind} block takes no {name}, got {getattr(self, name)!r}")
         if not self.modulus < 1.0:
             raise ValueError(f"block modulus {self.modulus} is not < 1: the block is not Schur")
 
@@ -58,6 +62,10 @@ class CanonicalBlock:
     def modulus(self) -> float:
         return self.rho if self.kind == "rotation" else abs(self.lam)
 
+    @property
+    def dim(self) -> int:
+        return 2 if self.kind == "rotation" else 1
+
     def a_block(self) -> np.ndarray:
         """The unscaled target sub-block this frame construction covers."""
         if self.kind == "rotation":
@@ -65,24 +73,13 @@ class CanonicalBlock:
             return self.rho * np.array([[c, -s], [s, c]])
         return np.array([[self.lam]])
 
-    def lambda_block(self, gamma: float) -> np.ndarray:
-        if self.kind == "rotation":
-            return gamma * self.rho * np.eye(2)
-        return np.array([[gamma * abs(self.lam)]])
-
     def r_block(self, k: int) -> np.ndarray:
-        if self.kind == "positive_real":
-            return np.array([[1.0]])
-        if self.kind == "negative_real":
-            return np.array([[(-1.0) ** (k % 2)]])
+        if self.kind != "rotation":
+            return np.array([[(-1.0 if self.lam < 0.0 else 1.0) ** (k % 2)]])
         phi = k * self.theta
         c, s = math.cos(phi), math.sin(phi)
         # rotation by -k*theta
         return np.array([[c, s], [-s, c]])
-
-    def sup_frame_norm(self) -> float:
-        # max-norm of a planar rotation is |cos| + |sin| <= sqrt(2)
-        return math.sqrt(2.0) if self.kind == "rotation" else 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +88,7 @@ class CoordChangeSeq:
 
     ``Lambda``, the constant propagation matrix, and ``sigma``, a bound on
     ``||R_k|| + ||inv(R_k)||``, are derived from them, so they always belong
-    to these frames. Every block must be Schur at ``gamma``.
+    to these frames. ``gamma`` must lie in (0, 1], as ``TargetSystem``'s.
     """
 
     blocks: tuple[CanonicalBlock, ...]
@@ -103,17 +100,14 @@ class CoordChangeSeq:
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValueError("need at least one block")
-        if not 0.0 < self.gamma:
-            raise ValueError("gamma must be positive")
-        for b in blocks:
-            if not self.gamma * b.modulus < 1.0:
-                raise ValueError(
-                    f"block {b.kind} with modulus {b.modulus} is not Schur at gamma={self.gamma}"
-                )
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError("gamma must lie in (0, 1]")
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "Lambda",
-                           _blockdiag([b.lambda_block(self.gamma) for b in blocks]))
-        object.__setattr__(self, "sigma", max(b.sup_frame_norm() for b in blocks) * 2.0)
+        object.__setattr__(self, "Lambda", np.diag(
+            [self.gamma * b.modulus for b in blocks for _ in range(b.dim)]))
+        # the max-norm of a planar rotation is |cos| + |sin| <= sqrt(2)
+        rotates = any(b.kind == "rotation" for b in blocks)
+        object.__setattr__(self, "sigma", 2.0 * (math.sqrt(2.0) if rotates else 1.0))
 
     def R(self, k: int) -> np.ndarray:
         if k < 0:
@@ -128,19 +122,17 @@ class CoordChangeSeq:
         return np.ascontiguousarray(self.R(k).T)
 
     def frame_norms(self, ks) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(||R_k||, ||inv(R_k)||)`` for an array of indices."""
+        """Vectorized ``(||R_k||, ||inv(R_k)||)`` for an array of indices.
+
+        The two are equal: every block of ``R_k`` is ``+-1`` or a rotation,
+        so ``inv(R_k) = R_k.T`` has the same max-norm.
+        """
         ks = np.asarray(ks, dtype=float)
-        fwd = np.zeros_like(ks)
-        inv = np.zeros_like(ks)
+        norm = np.zeros_like(ks)
         for b in self.blocks:
-            if b.kind == "rotation":
-                nb = np.abs(np.cos(ks * b.theta)) + np.abs(np.sin(ks * b.theta))
-                fwd = np.maximum(fwd, nb)
-                inv = np.maximum(inv, nb)
-            else:
-                fwd = np.maximum(fwd, 1.0)
-                inv = np.maximum(inv, 1.0)
-        return fwd, inv
+            # a real block has theta = 0, so its term is exactly 1
+            norm = np.maximum(norm, np.abs(np.cos(ks * b.theta)) + np.abs(np.sin(ks * b.theta)))
+        return norm, norm
 
 
 def build_coord_change(blocks, gamma: float) -> CoordChangeSeq:

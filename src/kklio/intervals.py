@@ -86,6 +86,9 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
+    def corners(self) -> str:
+        return f"lo={[float(v) for v in self.lo]} hi={[float(v) for v in self.hi]}"
+
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))

@@ -11,10 +11,13 @@ split). Known disturbance bounds on the state equation widen both framed
 bounds by their transform-Lipschitz image mapped through the frame split.
 Unframed bounds follow from the split of the inverse frame. State-space
 bounds are recovered by numerically inverting the transform at both bound
-vectors, ``u = T*(z+)`` and ``v = T*(z-)``: each inverse lies within the
-inverse-Lipschitz margin ``c / gamma**(m_bar-1) * max_j (z+_j - z-_j)`` of
-every state whose image lies in the bounds, so the state lies in the
-intersection of the two boxes, ``[max(u, v) - margin, min(u, v) + margin]``.
+vectors, ``u = T*(z+)`` and ``v = T*(z-)``, as the intersection
+``[max(u, v) - margin, min(u, v) + margin]`` with the inverse-Lipschitz margin
+``c / gamma**(m_bar-1) * max_j (z+_j - z-_j)``. That box holds every state
+whose image lies in the bounds only if the inversions are exact and the
+sampled ``c_I`` is a true injectivity margin. Neither is certified, and
+noise-free orbits near a near-singular point of the Jacobian of ``T`` break
+enclosure even with the harness's residual slack.
 
 States are immutable values; ``step`` and the recovery operations return new
 states, so independent observers can run concurrently.
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .coords import CoordChangeSeq
-from .intervals import inf_norm, interval_image
+from .intervals import Box, inf_norm, interval_image
 from .transform import InverseConfig, KklTransform, SystemConstants, eval_T, invert_T
 
 
@@ -106,12 +109,16 @@ def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
     Lipschitz bound times the largest initial spread, bracket the transform
     of every point of the box; the frame split carries that bracket into
     framed coordinates. Raises ``ValueError`` on non-finite or unordered
-    corners.
+    corners, and on a box outside the plant's invariant box.
     """
     x0_lo = _finite("x0_lo", x0_lo)
     x0_hi = _finite("x0_hi", x0_hi)
     if np.any(x0_lo > x0_hi):
         raise ValueError("initial bounds are not ordered: x0_lo > x0_hi somewhere")
+    box_x, x0_box = cfg.transform.plant.box_x, Box(x0_lo, x0_hi)
+    if not box_x.contains_box(x0_box):
+        raise ValueError(f"initial box {x0_box.corners()} must lie inside the "
+                         f"invariant box {box_x.corners()}")
     t_hi = eval_T(cfg.transform, x0_hi)
     t_lo = eval_T(cfg.transform, x0_lo)
     pad = cfg.consts.c_L * float(np.max(x0_hi - x0_lo))

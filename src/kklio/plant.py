@@ -29,7 +29,8 @@ class PlantModel:
     """Plant dynamics with inverse, output map, and its nested boxes.
 
     ``box_x0`` holds the initial-condition corners, ``box_x`` the invariant
-    set, and ``box_x_enlarged`` the saturation box; they must be nested.
+    set, and ``box_x_enlarged`` the saturation box; they must be nested. The
+    map shapes are checked once, on the two corners of ``box_x``.
     """
 
     n_x: int
@@ -48,19 +49,21 @@ class PlantModel:
             if box.dim != self.n_x:
                 raise ValueError("box dimension does not match n_x")
         if not self.box_x.contains_box(self.box_x0):
-            raise ValueError(f"initial box {_corners(self.box_x0)} must lie inside the "
-                             f"invariant box {_corners(self.box_x)}")
+            raise ValueError(f"initial box {self.box_x0.corners()} must lie inside the "
+                             f"invariant box {self.box_x.corners()}")
         if not self.box_x_enlarged.contains_box(self.box_x):
-            raise ValueError(f"enlarged box {_corners(self.box_x_enlarged)} must contain the "
-                             f"invariant box {_corners(self.box_x)}")
+            raise ValueError(f"enlarged box {self.box_x_enlarged.corners()} must contain the "
+                             f"invariant box {self.box_x.corners()}")
+        corners = np.stack([self.box_x.lo, self.box_x.hi])
+        for name, n_out in (("f", self.n_x), ("f_inv", self.n_x), ("h", self.n_y)):
+            shape = np.shape(getattr(self, name)(corners))
+            if shape != (2, n_out):
+                raise ValueError(f"{name} maps an input of shape (2, {self.n_x}) to shape "
+                                 f"{shape}, expected (2, {n_out})")
 
     def f_inv_clamped(self, x) -> np.ndarray:
         """One backward step, saturated into the enlarged box."""
         return self.box_x_enlarged.clamp(self.f_inv(np.asarray(x, dtype=float)))
-
-
-def _corners(box: Box) -> str:
-    return f"lo={[float(v) for v in box.lo]} hi={[float(v) for v in box.hi]}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,6 @@ PRESETS = (OSCILLATOR,)
 
 DEFAULT_TAU = 0.1
 DEFAULT_LAMBDAS = (0.1, 0.2, 0.3, 0.4)
-DEFAULT_ORDERS = (4,)
 DEFAULT_X0 = (1.0, 0.0)
 DEFAULT_X0_HALFWIDTH = 0.5
 POLY_BASIS = ((2, 0), (0, 2), (1, 1), (1, 0), (0, 1))
@@ -119,13 +118,13 @@ def siE_noise() -> tuple:
     return w, w_lo, w_hi
 
 
-def siE_disturbance(amp: float = 0.01) -> tuple:
-    """Bounded state disturbance (non-resonant frequencies) and its envelope."""
+def siE_disturbance() -> tuple:
+    """Bounded state disturbance (non-resonant frequencies, amplitude 0.01) and its envelope."""
 
     def d(k: int) -> np.ndarray:
-        return amp * np.array([math.sin(1.7 * k + 0.3), math.cos(2.3 * k)])
+        return 0.01 * np.array([math.sin(1.7 * k + 0.3), math.cos(2.3 * k)])
 
-    bound = amp * np.ones(2)
+    bound = 0.01 * np.ones(2)
     return d, (lambda k: -bound), (lambda k: bound)
 
 

@@ -35,7 +35,8 @@ def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = 
     """Extremal ratio ``||fn(a) - fn(b)|| / ||a - b||`` over sampled pairs in ``box``.
 
     ``fn`` must accept batched input of shape ``(..., dim)`` and return
-    ``(..., out_dim)`` (or scalar per point). Norms are max-abs.
+    ``(..., out_dim)``, as the plant maps, ``eval_T`` and the
+    distinguishability map do. Norms are max-abs.
 
     In minimize mode the best sampled pairs additionally seed a pattern-search
     descent on the ratio field: pure sampling under-explores the narrow
@@ -56,7 +57,6 @@ def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = 
     n_local = max(1, (samples - n_global) // len(patterns))
     delta = _PROBE_SCALE * float(np.max(box.width))
 
-    ratios = []
     pair_pool = []
 
     if n_global:
@@ -66,18 +66,16 @@ def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = 
         dx = np.max(np.abs(a - b), axis=-1)
         df = _gap(_eval(fn, a), _eval(fn, b))
         mask = dx > 1e-300
-        ratios.append(df[mask] / dx[mask])
-        pair_pool.append((a[mask], b[mask], ratios[-1]))
+        pair_pool.append((a[mask], b[mask], df[mask] / dx[mask]))
 
     pts = box.sample(g_local, n_local)
     f_pts = _eval(fn, pts)
     for s in patterns:
         probed = pts + delta * s
         df = _gap(_eval(fn, probed), f_pts)
-        ratios.append(df / delta)
-        pair_pool.append((probed, pts, ratios[-1]))
+        pair_pool.append((probed, pts, df / delta))
 
-    all_ratios = np.concatenate(ratios)
+    all_ratios = np.concatenate([r for _, _, r in pair_pool])
     if not minimize:
         return float(np.max(all_ratios))
     best = float(np.min(all_ratios))
@@ -117,8 +115,8 @@ def _descend_ratio(fn, box: Box, pair_pool) -> float:
                 accept = r < current
                 a = np.where(accept[:, None], ta, a)
                 b = np.where(accept[:, None], tb, b)
-                fa = _where_rows(accept, fta, fa)
-                fb = _where_rows(accept, ftb, fb)
+                fa = np.where(accept[:, None], fta, fa)
+                fb = np.where(accept[:, None], ftb, fb)
                 current = np.where(accept, r, current)
                 improved |= accept
         if not np.any(improved):
@@ -158,16 +156,9 @@ def _smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")[:k]]
 
 
-def _where_rows(mask, new, old):
-    """Per-pair select of ``fn`` values, which may be 1-D (one value per point)."""
-    return np.where(mask if new.ndim == 1 else mask[:, None], new, old)
-
-
 def _eval(fn, x) -> np.ndarray:
     return np.asarray(fn(x), dtype=float)
 
 
 def _gap(fa, fb):
-    if fa.ndim == 1:
-        return np.abs(fa - fb)
     return np.max(np.abs(fa - fb), axis=-1)

@@ -231,8 +231,9 @@ class KklTransform:
     see ``jacobian_poly``) and checks ``T(f(x)) = A T(x) + B h(x)`` on sampled
     points of the invariant box. Without one, ``series_n``, the series length,
     is fixed at the ``series_tol`` tail bound, and building raises when the
-    scaled target matrix is not a contraction. ``series_tol`` must be finite
-    and positive; the table and ``mode`` cannot be passed in.
+    scaled target matrix is not a contraction. The target needs one channel
+    per plant output, and ``series_tol`` must be finite and positive; the
+    table and ``mode`` cannot be passed in.
     """
 
     target: TargetSystem
@@ -246,6 +247,9 @@ class KklTransform:
     jac_coeffs: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        if len(self.target.pairs) != self.plant.n_y:
+            raise ValueError(f"target has {len(self.target.pairs)} output channels, "
+                             f"the plant has n_y={self.plant.n_y}")
         if not (math.isfinite(self.series_tol) and self.series_tol > 0.0):
             raise ValueError(f"series_tol must be finite and positive, got {self.series_tol!r}")
         if self.basis is None:

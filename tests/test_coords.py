@@ -105,5 +105,20 @@ def test_frames_derive_lambda_and_sigma():
     np.testing.assert_array_equal(seq.Lambda, build_coord_change(blocks, 0.9).Lambda)
     with pytest.raises(TypeError):
         CoordChangeSeq(blocks=blocks, gamma=0.9, Lambda=0.5 * seq.Lambda, sigma=seq.sigma)
-    with pytest.raises(ValueError, match="not Schur"):
+    with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
         CoordChangeSeq(blocks=blocks, gamma=1.2)
+
+
+@pytest.mark.parametrize("kind, kwargs, match", [
+    ("spiral", {}, "unknown block kind"),
+    ("positive_real", {"lam": -0.1}, "lam >= 0"),
+    ("negative_real", {"lam": 0.0}, "lam < 0"),
+    ("rotation", {"rho": 0.0, "theta": 0.3}, "rho > 0"),
+    ("rotation", {"rho": 0.5, "theta": 0.3, "lam": 7.0}, "rotation block takes no lam"),
+    ("positive_real", {"lam": 0.5, "rho": 0.5}, "positive_real block takes no rho"),
+    ("negative_real", {"lam": -0.5, "theta": 0.3}, "negative_real block takes no theta"),
+    ("positive_real", {"lam": 0.5, "theta": float("nan")}, "positive_real block takes no theta"),
+])
+def test_block_refuses_parameters_outside_its_kind(kind, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        CanonicalBlock(kind, **kwargs)

@@ -67,6 +67,13 @@ def test_init_rejects_unordered(osc):
             init_observer(osc.observer_cfg, lo, hi)
 
 
+def test_init_rejects_box_outside_invariant_box(osc):
+    # c_L is sampled on the plant's boxes; a wider initial box gets no valid pad
+    with pytest.raises(ValueError, match=r"initial box lo=\[-5.0, -5.0\] hi=\[5.0, 5.0\] must lie "
+                                         r"inside the invariant box lo=\[-2.0, -2.0\] hi=\[2.0, 2.0\]"):
+        init_observer(osc.observer_cfg, [-5.0, -5.0], [5.0, 5.0])
+
+
 def test_observer_config_derives_margin_and_checks_gamma(osc):
     from dataclasses import replace
 
@@ -141,6 +148,13 @@ def test_step_rejects_unordered_noise(osc):
     state = init_observer(osc.observer_cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
     with pytest.raises(ValueError):
         step(state, osc.observer_cfg, np.zeros(1), np.array([0.1]), np.array([-0.1]))
+
+
+def test_step_rejects_unordered_disturbance(osc):
+    state = init_observer(osc.observer_cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
+    with pytest.raises(ValueError, match="disturbance bounds are not ordered"):
+        step(state, osc.observer_cfg, np.zeros(1), np.array([-0.1]), np.array([0.1]),
+             d_lo=np.full(2, 0.01), d_hi=np.full(2, -0.01))
 
 
 @pytest.mark.parametrize("arg", ["y_k", "w_lo", "w_hi", "d_lo", "d_hi"])

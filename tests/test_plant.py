@@ -177,3 +177,18 @@ def test_box_nesting_validation():
         PlantModel(n_x=1, n_y=1, f=lambda x: x, f_inv=lambda x: x, h=lambda x: x,
                    box_x=Box([-1.0], [1.0]), box_x0=Box([-2.0], [2.0]),
                    box_x_enlarged=Box([-3.0], [3.0]))
+
+
+@pytest.mark.parametrize("name, n_y, bad", [
+    ("f", 1, True), ("f_inv", 1, True), ("h", 1, True),
+    # the oscillator's one-output h under n_y=2: simulation wrote it twice
+    ("h", 2, False),
+])
+def test_plant_checks_map_shapes(name, n_y, bad):
+    base = make_oscillator_plant()
+    maps = {"f": base.f, "f_inv": base.f_inv, "h": base.h}
+    if bad:
+        maps[name] = lambda x: np.asarray(x)[..., 0]  # one value per point
+    with pytest.raises(ValueError, match=rf"^{name} maps an input of shape \(2, 2\)"):
+        PlantModel(n_x=2, n_y=n_y, **maps, box_x=base.box_x, box_x0=base.box_x0,
+                   box_x_enlarged=base.box_x_enlarged)

@@ -114,12 +114,6 @@ def test_backward_orbit_never_saturates():
         assert np.max(np.abs(v)) < 3.0
 
 
-def test_gamma_star_capped_value():
-    b = build_oscillator(gamma=1.0)
-    consts, gs_raw = closed_form_constants(b)
-    assert gamma_star(consts, b.target) == pytest.approx(gs_raw)
-
-
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError, match="unknown preset"):
         build_preset("pendulum")

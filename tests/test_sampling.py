@@ -102,15 +102,11 @@ def test_descend_ratio_equals_both_sides_loop_vector_fn():
     assert _descend_ratio(fn, box, pool) == _descend_both_sides(fn, box, pool)
 
 
-def test_descend_ratio_equals_both_sides_loop_scalar_fn():
-    box = Box([-1.0, -2.0], [2.0, 1.0])
-
-    def fn(x):  # one value per point: the 1-D branch of the gap
-        return np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2 - x[..., 0] * x[..., 1]
-
-    pool = _pool(fn, box, seed=4)
-    assert np.asarray(fn(pool[0][0])).ndim == 1
-    assert _descend_ratio(fn, box, pool) == _descend_both_sides(fn, box, pool)
+def test_sign_patterns_beyond_64_are_a_fixed_subset():
+    patterns = sign_patterns(7)
+    assert patterns.shape == (64, 7)
+    assert np.all(np.abs(patterns) == 1.0)
+    assert np.array_equal(patterns, sign_patterns(7))
 
 
 def test_local_probes_evaluate_base_points_once():

@@ -507,6 +507,42 @@ def test_transform_rejects_bad_series_tol(osc, tol):
         make_series_transform(osc.plant, osc.target, series_tol=tol)
 
 
+@pytest.mark.parametrize("basis", [POLY_BASIS, None], ids=["polynomial", "series"])
+def test_transform_rejects_target_of_other_channel_count(osc, basis):
+    # the oscillator has one output: series mode used to broadcast it into
+    # both channels, polynomial mode to fail with an IndexError
+    blocks = tuple(CanonicalBlock.positive_real(l) for l in (0.1, 0.2))
+    target = TargetSystem(channels=((blocks, np.ones(2)), (blocks, np.ones(2))), gamma=1.0)
+    with pytest.raises(ValueError, match=r"target has 2 output channels, the plant has n_y=1"):
+        KklTransform(target, osc.plant, basis)
+
+
+def test_transform_rejects_non_affine_dynamics():
+    box = Box([-1.0], [1.0])
+    plant = PlantModel(n_x=1, n_y=1, f=lambda x: 0.5 * np.asarray(x) ** 3,
+                       f_inv=lambda x: np.cbrt(2.0 * np.asarray(x)), h=lambda x: np.asarray(x),
+                       box_x=box, box_x0=box, box_x_enlarged=box)
+    with pytest.raises(ValueError, match="not affine"):
+        KklTransform(single_block_target(), plant, ((1,), (3,)))
+
+
+def test_transform_affine_dynamics_with_offset():
+    # f(0) != 0: the offset composes into the constant monomial, which the
+    # basis must then hold
+    f_mat, off = np.array([[0.9, -0.2], [0.2, 0.9]]), np.array([0.1, -0.05])
+    f_inv_mat = np.linalg.inv(f_mat)
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    plant = PlantModel(n_x=2, n_y=1, f=lambda x: np.asarray(x) @ f_mat.T + off,
+                       f_inv=lambda x: (np.asarray(x) - off) @ f_inv_mat.T,
+                       h=lambda x: np.asarray(x)[..., :1], box_x=box, box_x0=box,
+                       box_x_enlarged=box)
+    target = real_target((0.1, 0.2, 0.3), np.ones(3), gamma=1.0)
+    t = KklTransform(target, plant, ((1, 0), (0, 1), (0, 0)))
+    assert transform_residual(t, box.sample(np.random.default_rng(3), 500)) <= 1e-13
+    with pytest.raises(ValueError, match="not closed"):
+        KklTransform(target, plant, ((1, 0), (0, 1)))
+
+
 def test_best_start_matches_sorted_keys():
     from kklio.transform import _best_start
     rng = np.random.default_rng(4)
@@ -573,6 +609,13 @@ def test_lipschitz_sandwich(osc):
 def test_estimated_constants_positive(osc):
     assert estimate_forward_lipschitz(osc.transform, samples=20000, seed=1) > 0
     assert estimate_injectivity(osc.transform, samples=20000, seed=2) > 0
+
+
+def test_injectivity_refuses_zero_output_map():
+    plant = linear_plant(np.array([[0.9, -0.2], [0.2, 0.9]]), [[0.0, 0.0]])
+    t = KklTransform(single_block_target(lam=0.5, gamma=1.0), plant, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="numerically non-injective"):
+        estimate_injectivity(t, samples=2000, seed=0)
 
 
 def test_target_system_validation():
