@@ -109,10 +109,14 @@ def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
     Lipschitz bound times the largest initial spread, bracket the transform
     of every point of the box; the frame split carries that bracket into
     framed coordinates. Raises ``ValueError`` on non-finite or unordered
-    corners, and on a box outside the plant's invariant box.
+    corners, on corners of another length than ``n_x``, and on a box
+    outside the plant's invariant box.
     """
     x0_lo = _finite("x0_lo", x0_lo)
     x0_hi = _finite("x0_hi", x0_hi)
+    n_x = cfg.transform.plant.n_x
+    if x0_lo.shape != (n_x,) or x0_hi.shape != (n_x,):
+        raise ValueError(f"x0_lo and x0_hi need length n_x={n_x}, got {x0_lo.shape}, {x0_hi.shape}")
     if np.any(x0_lo > x0_hi):
         raise ValueError("initial bounds are not ordered: x0_lo > x0_hi somewhere")
     box_x, x0_box = cfg.transform.plant.box_x, Box(x0_lo, x0_hi)

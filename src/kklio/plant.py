@@ -5,8 +5,10 @@ with an exact inverse of ``f``, an invariant box the solutions of interest
 stay in, and a slightly larger box used to saturate backward iterations so
 that chained evaluations of the inverse dynamics remain bounded.
 
-The maps ``f``, ``f_inv`` and ``h`` must be numpy-vectorized: they take
-``(..., n_x)`` arrays and return ``(..., n_x)`` resp. ``(..., n_y)``.
+The maps ``f``, ``f_inv`` and ``h`` must be numpy-vectorized: they take ``(..., n_x)``
+arrays of any leading shape, such as the ``(series_n, ..., n_x)`` backward orbit
+(``PlantModel.backward_orbit``) that the series transform passes to ``h`` whole,
+and return ``(..., n_x)`` resp. ``(..., n_y)``.
 
 The estimated constants, ``c_f`` and ``c_h`` (``estimate_lipschitz``) and
 ``c_o`` (``estimate_c_o``), are inputs of the closed-form gain threshold
@@ -30,7 +32,8 @@ class PlantModel:
 
     ``box_x0`` holds the initial-condition corners, ``box_x`` the invariant
     set, and ``box_x_enlarged`` the saturation box; they must be nested. The
-    map shapes are checked once, on the two corners of ``box_x``.
+    map shapes are checked once, on the two corners of ``box_x``, as a
+    ``(2, n_x)`` and as a ``(2, 1, n_x)`` array.
     """
 
     n_x: int
@@ -55,15 +58,24 @@ class PlantModel:
             raise ValueError(f"enlarged box {self.box_x_enlarged.corners()} must contain the "
                              f"invariant box {self.box_x.corners()}")
         corners = np.stack([self.box_x.lo, self.box_x.hi])
-        for name, n_out in (("f", self.n_x), ("f_inv", self.n_x), ("h", self.n_y)):
-            shape = np.shape(getattr(self, name)(corners))
-            if shape != (2, n_out):
-                raise ValueError(f"{name} maps an input of shape (2, {self.n_x}) to shape "
-                                 f"{shape}, expected (2, {n_out})")
+        for pts in (corners, corners[:, None]):
+            for name, n_out in (("f", self.n_x), ("f_inv", self.n_x), ("h", self.n_y)):
+                try:
+                    shape = np.shape(getattr(self, name)(pts))
+                except (IndexError, ValueError) as err:
+                    raise ValueError(f"{name} fails on an input of shape {pts.shape}: {err}")
+                if shape != pts.shape[:-1] + (n_out,):
+                    raise ValueError(f"{name} maps an input of shape {pts.shape} to shape "
+                                     f"{shape}, expected {pts.shape[:-1] + (n_out,)}")
 
-    def f_inv_clamped(self, x) -> np.ndarray:
-        """One backward step, saturated into the enlarged box."""
-        return self.box_x_enlarged.clamp(self.f_inv(np.asarray(x, dtype=float)))
+    def backward_orbit(self, x, n: int) -> np.ndarray:
+        """Rows ``j < n``: ``x`` after ``j + 1`` steps of ``f_inv``, each clamped into the
+        enlarged box (with the bits of ``np.clip``); shape ``(n,) + x.shape``."""
+        v, orbit = np.asarray(x, dtype=float), np.empty((n,) + np.shape(x))
+        for row in orbit:
+            v = np.maximum(self.f_inv(v), self.box_x_enlarged.lo, out=row)
+            v = np.minimum(v, self.box_x_enlarged.hi, out=row)
+        return orbit
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,27 +125,17 @@ def simulate_plant(model: PlantModel, x0, steps: int,
 def distinguishability_map(model: PlantModel, m: Sequence[int]):
     """Stacked backward output map at orders ``m``.
 
-    Channel ``i`` contributes ``h_i`` composed with 1..m[i] saturated
-    backward steps; the result has ``sum(m)`` components and accepts batched
-    input like the plant maps.
+    Channel ``i`` contributes ``h_i`` on the first m[i] rows of one
+    ``backward_orbit``; the result has ``sum(m)`` components and accepts
+    batched input like the plant maps.
     """
     m = tuple(int(mi) for mi in m)
     if len(m) != model.n_y or any(mi < 1 for mi in m):
         raise ValueError("need one order >= 1 per output channel")
-    depth = max(m)
 
     def omap(x):
-        x = np.asarray(x, dtype=float)
-        per_channel: list[list[np.ndarray]] = [[] for _ in range(model.n_y)]
-        v = x
-        for j in range(1, depth + 1):
-            v = model.f_inv_clamped(v)
-            y = np.asarray(model.h(v), dtype=float)
-            for i, mi in enumerate(m):
-                if j <= mi:
-                    per_channel[i].append(y[..., i])
-        cols = [col for chan in per_channel for col in chan]
-        return np.stack(cols, axis=-1)
+        ys = np.asarray(model.h(model.backward_orbit(x, max(m))), dtype=float)
+        return np.stack([ys[j, ..., i] for i, mi in enumerate(m) for j in range(mi)], axis=-1)
 
     return omap
 

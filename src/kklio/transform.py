@@ -13,7 +13,8 @@ its basis picks the mode:
   and the solution is checked against the identity before any use.
 * ``series`` (no basis) -- the generic truncated backward series, with the
   inverse dynamics saturated into the plant's enlarged box and the
-  truncation length chosen from the geometric tail bound.
+  truncation length chosen from the geometric tail bound; an evaluation
+  calls the output map once, on the whole backward orbit.
 
 The left inverse is realized as a box-constrained multi-start Gauss-Newton
 least-squares solve; it always returns the best point found together with
@@ -230,7 +231,8 @@ class KklTransform:
     derivative monomials, and ``jac_coeffs``, ``(len(jac_basis), n_z * n_x)``;
     see ``jacobian_poly``) and checks ``T(f(x)) = A T(x) + B h(x)`` on sampled
     points of the invariant box. Without one, ``series_n``, the series length,
-    is fixed at the ``series_tol`` tail bound, and building raises when the
+    is fixed at the ``series_tol`` tail bound, ``series_table`` stacks the
+    ``(series_n, n_z, n_y)`` terms ``A^j B``, and building raises when the
     scaled target matrix is not a contraction. The target needs one channel
     per plant output, and ``series_tol`` must be finite and positive; the
     table and ``mode`` cannot be passed in.
@@ -243,6 +245,7 @@ class KklTransform:
     mode: str = field(init=False)
     poly_coeffs: Optional[np.ndarray] = field(init=False, default=None, repr=False)
     series_n: Optional[int] = field(init=False, default=None, repr=False)
+    series_table: Optional[np.ndarray] = field(init=False, default=None, repr=False)
     jac_basis: Optional[tuple[tuple[int, ...], ...]] = field(init=False, default=None, repr=False)
     jac_coeffs: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
@@ -253,9 +256,10 @@ class KklTransform:
         if not (math.isfinite(self.series_tol) and self.series_tol > 0.0):
             raise ValueError(f"series_tol must be finite and positive, got {self.series_tol!r}")
         if self.basis is None:
+            table = _series_table(self.target, self.plant, self.series_tol)
             object.__setattr__(self, "mode", "series")
-            object.__setattr__(self, "series_n",
-                               _series_length(self.target, self.plant, self.series_tol))
+            object.__setattr__(self, "series_n", len(table))
+            object.__setattr__(self, "series_table", table)
             return
         coeffs = solve_poly_T(self.plant, self.target, self.basis)
         basis = tuple(tuple(int(p) for p in e) for e in self.basis)
@@ -314,27 +318,22 @@ def _jacobian_table(basis, coeffs: np.ndarray, n_x: int):
 
 
 def eval_T_series(t: KklTransform, x) -> np.ndarray:
-    """Truncated backward series with saturated inverse iterates.
+    """Truncated backward series ``sum_j A^j B h(x_j)`` over the saturated backward orbit.
 
-    The truncation length satisfies a geometric tail bound at
-    ``series_tol``; it requires the scaled target matrix to be a
-    contraction.
+    The orbit is walked once (``PlantModel.backward_orbit``), ``h`` is called
+    once on its ``(series_n, ..., n_x)`` stack, and the terms, contracted with
+    ``series_table``, are summed in order of ``j``. The length satisfies a
+    geometric tail bound at ``series_tol``; it needs a contractive target matrix.
     """
-    x = np.asarray(x, dtype=float)
-    a = t.target.A
-    b = t.target.B
-    acc = np.zeros(x.shape[:-1] + (t.target.n_z,))
-    a_pow_b = b.copy()
-    v = x
-    for _ in range(t.series_n):
-        v = t.plant.f_inv_clamped(v)
-        hv = np.asarray(t.plant.h(v), dtype=float)
-        acc = acc + np.einsum("zy,...y->...z", a_pow_b, hv)
-        a_pow_b = a @ a_pow_b
-    return acc
+    hs = np.asarray(t.plant.h(t.plant.backward_orbit(x, t.series_n)), dtype=float)
+    terms = np.einsum("jzy,j...y->j...z", t.series_table, hs)
+    for term in terms[1:]:  # not np.add.reduce: it sums a lone point's n_z = 1 pairwise
+        terms[0] += term
+    return terms[0].copy()
 
 
-def _series_length(target: TargetSystem, plant: PlantModel, series_tol: float) -> int:
+def _series_table(target: TargetSystem, plant: PlantModel, series_tol: float) -> np.ndarray:
+    """``A^j B`` for ``j`` below the series length, stacked, by the ``A @ A^j B`` recurrence."""
     a_norm = mat_inf_norm(target.A)
     if a_norm >= 1.0:
         raise ValueError(f"scaled target matrix has norm {a_norm:.3g} >= 1; series may diverge")
@@ -344,10 +343,11 @@ def _series_length(target: TargetSystem, plant: PlantModel, series_tol: float) -
     h_max = _SUP_OUTPUT_INFLATION * float(np.max(np.abs(np.asarray(plant.h(grid), dtype=float))))
     b_norm = mat_inf_norm(target.B)
     scale = b_norm * max(h_max, 1e-30) / (1.0 - a_norm)
-    if scale <= series_tol:
-        return 1
-    n = int(math.ceil(math.log(series_tol / scale) / math.log(a_norm)))
-    return max(n, 1)
+    n = 1 if scale <= series_tol else math.ceil(math.log(series_tol / scale) / math.log(a_norm))
+    table = [target.B]
+    for _ in range(n - 1):
+        table.append(target.A @ table[-1])
+    return np.stack(table)
 
 
 def make_series_transform(plant: PlantModel, target: TargetSystem,

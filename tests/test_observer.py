@@ -74,6 +74,14 @@ def test_init_rejects_box_outside_invariant_box(osc):
         init_observer(osc.observer_cfg, [-5.0, -5.0], [5.0, 5.0])
 
 
+@pytest.mark.parametrize("lo, hi", [([0, 0, 0], [1, 1, 1]), ([0], [1]), ([0, 0], [1, 1, 1])],
+                         ids=["both-3", "both-1", "hi-3"])
+def test_init_rejects_corners_of_other_length(osc, lo, hi):
+    # not numpy's broadcast error from the box check: the message names the arguments
+    with pytest.raises(ValueError, match=r"^x0_lo and x0_hi need length n_x=2, got \("):
+        init_observer(osc.observer_cfg, lo, hi)
+
+
 def test_observer_config_derives_margin_and_checks_gamma(osc):
     from dataclasses import replace
 

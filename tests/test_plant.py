@@ -156,20 +156,53 @@ def test_distinguishability_map_dimension():
     assert out.shape == (5,)
 
 
+def test_distinguishability_map_equals_stepwise_composition():
+    # channel i holds h_i after 1..m_i saturated backward steps; the slow
+    # rotation expands backward, so the clamp is active near the corners.
+    # h is elementwise: a matmul h may round a (3, n_x) stack of one point
+    # differently from each lone step (BLAS picks its kernel by shape)
+    base = linear_plant(np.array([[0.9, -0.2], [0.2, 0.9]]), np.eye(2))
+    h = lambda x: np.stack([x[..., 0] * x[..., 1], x[..., 0] - x[..., 1] ** 2], axis=-1)
+    plant = PlantModel(n_x=2, n_y=2, f=base.f, f_inv=base.f_inv, h=h, box_x=base.box_x,
+                       box_x0=base.box_x0, box_x_enlarged=base.box_x_enlarged)
+    omap = distinguishability_map(plant, m=(2, 3))
+    box = plant.box_x_enlarged
+    pts = np.concatenate([plant.box_x.sample(np.random.default_rng(4), 50), box.grid(3)])
+    for x in (pts, pts[0], pts[-1]):
+        cols = ([], [])
+        v = x
+        for j in range(3):
+            v = np.clip(plant.f_inv(v), box.lo, box.hi)
+            y = plant.h(v)
+            for i, mi in enumerate((2, 3)):
+                if j < mi:
+                    cols[i].append(y[..., i])
+        assert np.array_equal(omap(x), np.stack(cols[0] + cols[1], axis=-1))
+
+
 def test_oscillator_c_o_positive():
     plant = make_oscillator_plant()
     est = estimate_c_o(plant, m=(4,), samples=20000, seed=7)
     assert est > 1e-4
 
 
-def test_f_inv_chain_saturates_to_enlarged_box():
+def test_backward_orbit_saturates_into_enlarged_box():
     plant = make_oscillator_plant()
-    outside = np.array([10.0, -10.0])
-    clamped = plant.f_inv_clamped(outside)
-    assert plant.box_x_enlarged.contains(clamped)
+    box = plant.box_x_enlarged
+    orbit = plant.backward_orbit(np.array([[10.0, -10.0], [0.5, -0.5]]), 4)
+    assert orbit.shape == (4, 2, 2)
+    # from outside, every iterate is one clamped backward step of the last
+    v = np.array([10.0, -10.0])
+    for row in orbit[:, 0]:
+        v = np.clip(plant.f_inv(v), box.lo, box.hi)
+        assert box.contains(row) and np.array_equal(row, v)
+    assert np.array_equal(orbit[0, 0], [3.0, -3.0])
     # inside the enlarged box the clamp is inactive
-    inside = np.array([0.5, -0.5])
-    np.testing.assert_array_equal(plant.f_inv_clamped(inside), plant.f_inv(inside))
+    v = np.array([0.5, -0.5])
+    for row in orbit[:, 1]:
+        v = plant.f_inv(v)
+        assert np.array_equal(row, v)
+    assert np.array_equal(plant.backward_orbit(np.array([0.5, -0.5]), 4), orbit[:, 1])
 
 
 def test_box_nesting_validation():
@@ -191,4 +224,22 @@ def test_plant_checks_map_shapes(name, n_y, bad):
         maps[name] = lambda x: np.asarray(x)[..., 0]  # one value per point
     with pytest.raises(ValueError, match=rf"^{name} maps an input of shape \(2, 2\)"):
         PlantModel(n_x=2, n_y=n_y, **maps, box_x=base.box_x, box_x0=base.box_x0,
+                   box_x_enlarged=base.box_x_enlarged)
+
+
+@pytest.mark.parametrize("name", ["f", "f_inv", "h"])
+@pytest.mark.parametrize("kind", ["reshapes", "raises"])
+def test_plant_checks_maps_on_stacked_input(name, kind):
+    # the series transform calls f_inv and h on stacks of batches: a map that
+    # handles only (p, n_x) input must fail when the plant is built
+    base = make_oscillator_plant()
+    maps = {"f": base.f, "f_inv": base.f_inv, "h": base.h}
+    if kind == "reshapes":
+        maps[name] = lambda x, g=maps[name]: g(np.asarray(x).reshape(-1, 2))
+        match = rf"^{name} maps an input of shape \(2, 1, 2\) to shape \(2, \d\), expected"
+    else:
+        maps[name] = lambda x, g=maps[name]: g(np.einsum("pi->pi", x))
+        match = rf"^{name} fails on an input of shape \(2, 1, 2\)"
+    with pytest.raises(ValueError, match=match):
+        PlantModel(n_x=2, n_y=1, **maps, box_x=base.box_x, box_x0=base.box_x0,
                    box_x_enlarged=base.box_x_enlarged)

@@ -40,15 +40,12 @@ def test_best_pairs_equals_sorted_concatenation(pieces, k):
     assert np.array_equal(r, r_all[order], equal_nan=True)
 
 
+def _gap(fn, a, b):
+    return np.max(np.abs(np.asarray(fn(a), dtype=float) - np.asarray(fn(b), dtype=float)), axis=-1)
+
+
 def _descend_both_sides(fn, box, pair_pool):
     """The descent as it was before it kept ``fn`` values: both sides every trial."""
-    def gap(a, b):
-        fa = np.asarray(fn(a), dtype=float)
-        fb = np.asarray(fn(b), dtype=float)
-        if fa.ndim == 1:
-            return np.abs(fa - fb)
-        return np.max(np.abs(fa - fb), axis=-1)
-
     a_all = np.concatenate([p[0] for p in pair_pool])
     b_all = np.concatenate([p[1] for p in pair_pool])
     r_all = np.concatenate([p[2] for p in pair_pool])
@@ -67,7 +64,7 @@ def _descend_both_sides(fn, box, pair_pool):
                 tb = b if move_a else box.clamp(b + step * mv)
                 dx = np.max(np.abs(ta - tb), axis=-1)
                 ok = dx > 1e-12
-                r = np.where(ok, gap(ta, tb) / np.where(ok, dx, 1.0), np.inf)
+                r = np.where(ok, _gap(fn, ta, tb) / np.where(ok, dx, 1.0), np.inf)
                 accept = r < current
                 a = np.where(accept[:, None], ta, a)
                 b = np.where(accept[:, None], tb, b)
@@ -85,9 +82,7 @@ def _pool(fn, box, seed, n=400):
     pool = []
     for _ in range(2):
         a, b = box.sample(rng, n), box.sample(rng, n)
-        fa, fb = np.asarray(fn(a), dtype=float), np.asarray(fn(b), dtype=float)
-        df = np.abs(fa - fb) if fa.ndim == 1 else np.max(np.abs(fa - fb), axis=-1)
-        pool.append((a, b, df / np.max(np.abs(a - b), axis=-1)))
+        pool.append((a, b, _gap(fn, a, b) / np.max(np.abs(a - b), axis=-1)))
     return pool
 
 

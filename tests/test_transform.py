@@ -30,6 +30,13 @@ def single_block_target(lam=0.5, gamma=0.5):
     return real_target((lam,), [1.0], gamma)
 
 
+def two_channel_target(gamma):
+    """Two output channels, of the positive real blocks (0.3, 0.5) and (0.4,)."""
+    blocks = lambda lams: tuple(CanonicalBlock.positive_real(l) for l in lams)
+    return TargetSystem(channels=((blocks((0.3, 0.5)), [1.0, 1.0]), (blocks((0.4,)), [1.0])),
+                        gamma=gamma)
+
+
 def linear_plant(f_mat, h_mat, lo=-2.0, hi=2.0, enlarge=1.0):
     f_mat = np.asarray(f_mat, dtype=float)
     h_mat = np.atleast_2d(np.asarray(h_mat, dtype=float))
@@ -189,6 +196,62 @@ def test_series_matches_sylvester_oracle():
     pts = plant.box_x.sample(np.random.default_rng(2), 200)
     series = eval_T_series(t, pts)
     assert np.max(np.abs(series - pts @ p_mat.T)) <= tol
+
+
+def test_series_two_outputs_match_sylvester_oracle():
+    # two outputs, one channel each: the series contraction runs with n_y = 2
+    ang = 0.4
+    f_mat = 1.25 * np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    h_mat = np.array([[1.0, 0.5], [-0.3, 1.0]])
+    plant = linear_plant(f_mat, h_mat, enlarge=1.5)
+    target = two_channel_target(gamma=1.0)
+    tol = 1e-9
+    t = make_series_transform(plant, target, series_tol=tol)
+    assert t.series_table.shape == (t.series_n, 3, 2)
+    p_mat = scipy.linalg.solve_sylvester(target.A, -f_mat, -target.B @ h_mat)
+    pts = plant.box_x.sample(np.random.default_rng(2), 200)
+    assert np.max(np.abs(eval_T_series(t, pts) - pts @ p_mat.T)) <= tol
+
+
+def _series_per_term(t, x):
+    """The series as a loop of one saturated step, one ``h`` and one ``A^j B`` per term."""
+    x = np.asarray(x, dtype=float)
+    box = t.plant.box_x_enlarged
+    acc = np.zeros(x.shape[:-1] + (t.target.n_z,))
+    a_pow_b = t.target.B.copy()
+    v = x
+    for _ in range(t.series_n):
+        v = np.clip(t.plant.f_inv(v), box.lo, box.hi)
+        acc = acc + np.einsum("zy,...y->...z", a_pow_b, np.asarray(t.plant.h(v), dtype=float))
+        a_pow_b = t.target.A @ a_pow_b
+    return acc
+
+
+def _contracting_series(case):
+    # contracting dynamics, so the backward orbit saturates
+    ang = 0.4
+    f_mat = 0.8 * np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    if case == "one-block":
+        # n_z = 1 and a slow block: 234 terms, one value per point
+        return make_series_transform(linear_plant(f_mat, [[1.0, 0.3]], enlarge=1.5),
+                                     single_block_target(lam=0.9, gamma=1.0))
+    lin = linear_plant(f_mat, np.eye(2), enlarge=1.5)
+    # a nonlinear, elementwise h
+    h = lambda x: np.stack([x[..., 0] * x[..., 1], np.sin(x[..., 0]) + x[..., 1]], axis=-1)
+    plant = PlantModel(n_x=2, n_y=2, f=lin.f, f_inv=lin.f_inv, h=h, box_x=lin.box_x,
+                       box_x0=lin.box_x0, box_x_enlarged=lin.box_x_enlarged)
+    return make_series_transform(plant, two_channel_target(gamma=0.9))
+
+
+@pytest.mark.parametrize("case", ["oscillator", "two-output", "one-block"])
+def test_series_equals_per_term_loop(osc, case):
+    t = (make_series_transform(osc.plant, osc.target)
+         if case == "oscillator" else _contracting_series(case))
+    rng = np.random.default_rng(11)
+    # points beyond the enlarged box too, so the clamp acts on the first step
+    big = t.plant.box_x_enlarged.sample(rng, 1400) * 1.5
+    for x in (big[0], big[:1], big[:2], big[:177], big):
+        assert np.array_equal(eval_T_series(t, x), _series_per_term(t, x))
 
 
 def test_series_matches_polynomial_oscillator():
