@@ -333,7 +333,7 @@ def eval_T_series(t: KklTransform, x) -> np.ndarray:
 
 
 def _series_table(target: TargetSystem, plant: PlantModel, series_tol: float) -> np.ndarray:
-    """``A^j B`` for ``j`` below the series length, stacked, by the ``A @ A^j B`` recurrence."""
+    """``A^j B``, stacked, for ``j`` below the length the ``series_tol`` tail bound fixes."""
     a_norm = mat_inf_norm(target.A)
     if a_norm >= 1.0:
         raise ValueError(f"scaled target matrix has norm {a_norm:.3g} >= 1; series may diverge")
