@@ -138,11 +138,13 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
          w_lo, w_hi, d_lo=None, d_hi=None) -> ObserverState:
     """Advance the framed bounds one step using the output at time ``k``.
 
-    Raises ``ValueError`` on a NaN or infinite input, or on unordered bounds.
+    Raises ``ValueError`` on a NaN or infinite input, on unordered bounds, and
+    on inputs not of shape ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
     """
-    y_k = _finite("y_k", y_k)
-    w_lo = _finite("w_lo", w_lo)
-    w_hi = _finite("w_hi", w_hi)
+    plant = cfg.transform.plant
+    y_k = _finite("y_k", y_k, plant.n_y)
+    w_lo = _finite("w_lo", w_lo, plant.n_y)
+    w_hi = _finite("w_hi", w_hi, plant.n_y)
     if np.any(w_lo > w_hi):
         raise ValueError("noise bounds are not ordered: w_lo > w_hi somewhere")
     lam = cfg.coord.Lambda
@@ -154,8 +156,8 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     zhat_lo = lam @ state.zhat_lo + drive - n_hi
 
     if d_lo is not None or d_hi is not None:
-        d_lo = np.zeros(cfg.transform.plant.n_x) if d_lo is None else _finite("d_lo", d_lo)
-        d_hi = np.zeros(cfg.transform.plant.n_x) if d_hi is None else _finite("d_hi", d_hi)
+        d_lo = np.zeros(plant.n_x) if d_lo is None else _finite("d_lo", d_lo, plant.n_x)
+        d_hi = np.zeros(plant.n_x) if d_hi is None else _finite("d_hi", d_hi, plant.n_x)
         if np.any(d_lo > d_hi):
             raise ValueError("disturbance bounds are not ordered: d_lo > d_hi somewhere")
         delta = cfg.consts.c_L * max(inf_norm(d_hi), inf_norm(d_lo))
@@ -171,11 +173,13 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
                          inv_hi=state.inv_hi, inv_lo=state.inv_lo)
 
 
-def _finite(name: str, v) -> np.ndarray:
+def _finite(name: str, v, n: Optional[int] = None) -> np.ndarray:
     # every comparison with NaN is false, so the ordering checks alone let it through
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} is not finite: {v}")
+    if n is not None and v.shape != (n,):
+        raise ValueError(f"{name} needs shape ({n},), got {v.shape}")
     return v
 
 

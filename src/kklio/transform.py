@@ -7,10 +7,11 @@ coordinate frames are built from) and ``B`` the block-diagonal stack of the
 input vectors. ``KklTransform`` is the one place a transform is made, and
 its basis picks the mode:
 
-* ``polynomial`` -- when the dynamics are affine and the output map lies in
-  the span of a monomial basis closed under composition with the dynamics,
-  the coefficient matching problem is a small linear system solved exactly,
-  and the solution is checked against the identity before any use.
+* ``polynomial`` -- when a monomial basis is closed under composition with
+  the dynamics and spans the output map, whatever the form of either map,
+  both are fitted on the basis from probe points, the coefficient matching
+  problem is a small linear system, and the solution is checked against the
+  identity before any use.
 * ``series`` (no basis) -- the generic truncated backward series, with the
   inverse dynamics saturated into the plant's enlarged box and the
   truncation length chosen from the geometric tail bound; an evaluation
@@ -363,11 +364,11 @@ def solve_poly_T(plant: PlantModel, target: TargetSystem,
                  basis: Sequence[Sequence[int]]) -> np.ndarray:
     """Coefficient table of the exact polynomial transform.
 
-    Requires affine dynamics and an output map inside the span of ``basis``;
-    the basis must list distinct exponent tuples and be closed under
-    composition with the dynamics. Each
-    target block yields a small linear system in coefficient space; a
-    (near-)singular system means a resonant block eigenvalue.
+    ``basis`` must list distinct exponent tuples, be closed under composition
+    with the dynamics and span the output map; ``_fit`` fits both maps on it
+    from probe points, ``K`` from ``_monomials(f(x)) = _monomials(x) @ K``.
+    Each target block yields a small linear system in coefficient space; one
+    singular relative to the norms of its terms means a resonant eigenvalue.
     """
     basis = tuple(tuple(int(p) for p in e) for e in basis)
     if any(len(e) != plant.n_x or any(p < 0 for p in e) for e in basis):
@@ -375,21 +376,23 @@ def solve_poly_T(plant: PlantModel, target: TargetSystem,
     repeated = next((e for j, e in enumerate(basis) if e in basis[:j]), None)
     if repeated is not None:
         raise ValueError(f"basis lists the exponent tuple {repeated} more than once")
-    f_mat, f_off = _affine_parts(plant)
-    k_mat = _composition_matrix(f_mat, f_off, basis)
-    h_coeffs = _output_in_basis(plant, basis)
-
     n_b = len(basis)
+    pts = plant.box_x.sample(np.random.default_rng(353), max(3 * n_b, 16))
+    vander = _monomials(pts, basis)
+    k_mat = _fit(vander, _monomials(np.asarray(plant.f(pts), dtype=float), basis),
+                 "basis not closed under composition with the dynamics")
+    h_coeffs = _fit(vander, np.asarray(plant.h(pts), dtype=float),
+                    "output map is not spanned by the basis").T
+
     rows = []
     for ch, (a_i, b_i) in enumerate(target.pairs):
         m_i = a_i.shape[0]
         lhs = np.kron(np.eye(m_i), k_mat) - target.gamma * np.kron(a_i, np.eye(n_b))
         rhs = np.outer(b_i, h_coeffs[ch]).reshape(-1)
-        cond = np.linalg.cond(lhs)
-        if not np.isfinite(cond) or 1.0 / cond < _RESONANCE_RTOL:
-            raise ValueError(
-                f"resonant target eigenvalue in block {ch}: coefficient system is singular"
-            )
+        scale = np.linalg.norm(k_mat, 2) + target.gamma * np.linalg.norm(a_i, 2)
+        if np.linalg.svd(lhs, compute_uv=False)[-1] < _RESONANCE_RTOL * scale:
+            raise ValueError(f"resonant target eigenvalue in block {ch}: "
+                             "coefficient system is singular")
         sol = np.linalg.solve(lhs, rhs)
         rows.append(sol.reshape(m_i, n_b))
     return np.vstack(rows)
@@ -409,67 +412,17 @@ def transform_residual(t: KklTransform, pts: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _affine_parts(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
-    n = plant.n_x
-    off = np.asarray(plant.f(np.zeros(n)), dtype=float)
-    cols = [np.asarray(plant.f(e), dtype=float) - off for e in np.eye(n)]
-    f_mat = np.stack(cols, axis=1)
-    probe = plant.box_x.sample(np.random.default_rng(977), 8)
-    err = np.max(np.abs(np.asarray(plant.f(probe), dtype=float) - (probe @ f_mat.T + off)))
-    scale = 1.0 + np.max(np.abs(off)) + np.max(np.abs(f_mat))
-    if err > 1e-9 * scale:
-        raise ValueError("dynamics map is not affine; polynomial mode unavailable")
-    return f_mat, off
+def _fit(vander: np.ndarray, values: np.ndarray, what: str) -> np.ndarray:
+    """Least-squares coefficients of ``values`` on the basis columns ``vander``.
 
-
-def _poly_mul(p: dict, q: dict, n: int) -> dict:
-    out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(ea[i] + eb[i] for i in range(n))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _composition_matrix(f_mat: np.ndarray, f_off: np.ndarray, basis) -> np.ndarray:
-    """Matrix taking basis coefficients of p to those of ``p o f``."""
-    n = f_mat.shape[0]
-    index = {e: j for j, e in enumerate(basis)}
-    k_mat = np.zeros((len(basis), len(basis)))
-    lin_forms = []
-    for i in range(n):
-        form = {tuple(int(a == j) for a in range(n)): f_mat[i, j] for j in range(n)}
-        if f_off[i] != 0.0:
-            form[(0,) * n] = form.get((0,) * n, 0.0) + f_off[i]
-        lin_forms.append({e: c for e, c in form.items() if c != 0.0})
-    for j, e in enumerate(basis):
-        poly = {(0,) * n: 1.0}
-        for i, power in enumerate(e):
-            for _ in range(power):
-                poly = _poly_mul(poly, lin_forms[i], n)
-        for mono, coeff in poly.items():
-            if abs(coeff) <= 1e-14:
-                continue
-            if mono not in index:
-                raise ValueError(
-                    f"basis not closed under composition with the dynamics: "
-                    f"monomial {mono} appears with coefficient {coeff:.3g}"
-                )
-            k_mat[index[mono], j] += coeff
-    return k_mat
-
-
-def _output_in_basis(plant: PlantModel, basis) -> np.ndarray:
-    """Coefficients of each output channel in the basis, via probe points."""
-    n_b = len(basis)
-    pts = plant.box_x.sample(np.random.default_rng(353), max(3 * n_b, 16))
-    vander = _monomials(pts, basis)
-    hv = np.atleast_2d(np.asarray(plant.h(pts), dtype=float))
-    coeffs, *_ = np.linalg.lstsq(vander, hv, rcond=None)
-    err = np.max(np.abs(vander @ coeffs - hv))
-    if err > 1e-9 * (1.0 + np.max(np.abs(hv))):
-        raise ValueError("output map is not spanned by the basis")
-    return coeffs.T
+    Raises ``ValueError(what)`` unless the fit is exact to rounding, ``1e-9``
+    relative to the largest value; a NaN fails too.
+    """
+    coeffs, *_ = np.linalg.lstsq(vander, values, rcond=None)
+    err = np.max(np.abs(vander @ coeffs - values))
+    if not err <= 1e-9 * (1.0 + np.max(np.abs(values))):
+        raise ValueError(what)
+    return coeffs
 
 
 def _monomials(x: np.ndarray, basis) -> np.ndarray:

@@ -225,8 +225,8 @@ def test_cli_constants(capsys):
 
 
 @pytest.mark.parametrize("gamma,digest", [
-    ("1.0", "82b40058be2d5a6c119efd77ce654d6ddd5bd835290017628227df37c567e36c"),
-    ("0.7", "8ec865785d87e07efa38b383673b72931f9d46cbdaaa99057fcbcea842b95622"),
+    ("1.0", "bff9b858fa9ecb90c6872c5da1c7e3e18eff1df0754c08229af40e361ed193ce"),
+    ("0.7", "e2961195d35520c6f1971c91db9d7fd9c383193bc3c6280cb1f177ca70f5772e"),
 ], ids=["1.0", "0.7"])
 def test_cli_constants_bytes(capsys, gamma, digest):
     # sha256 of the stdout of `kklio constants --gamma <gamma>` (numpy 2.4.6)

@@ -180,6 +180,21 @@ def test_step_rejects_non_finite(osc, arg):
             step(state, osc.observer_cfg, **kw)
 
 
+@pytest.mark.parametrize("arg", ["y_k", "w_lo", "w_hi", "d_lo", "d_hi"])
+def test_step_rejects_inputs_of_other_shape(osc, arg):
+    # only the max norm of the disturbance bounds is read, so without the
+    # check any shape passed; a wrong y_k failed in numpy's matmul
+    state = init_observer(osc.observer_cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
+    n = 1 if arg in ("y_k", "w_lo", "w_hi") else osc.plant.n_x
+    good = dict(y_k=np.zeros(1), w_lo=np.array([-0.1]), w_hi=np.array([0.1]),
+                d_lo=np.full(osc.plant.n_x, -0.01), d_hi=np.full(osc.plant.n_x, 0.01))
+    step(state, osc.observer_cfg, **good)
+    sign = -1.0 if arg.endswith("lo") else 1.0
+    for bad in (np.full(n + 1, sign * 0.01), np.float64(sign * 0.01), np.full((n, n), sign * 0.01)):
+        with pytest.raises(ValueError, match=rf"^{arg} needs shape \({n},\), got"):
+            step(state, osc.observer_cfg, **dict(good, **{arg: bad}))
+
+
 def test_noise_free_width_recursion(osc):
     _, states = run_observer(osc, steps=10, noise=False)
     lam = osc.coord.Lambda
@@ -324,4 +339,4 @@ def test_series_mode_observer_end_to_end(osc):
     # byte pin of the recovered series-mode states (numpy 2.4.6; the same
     # with one and two BLAS threads)
     assert digest.hexdigest() == (
-        "613c10220880fbe03b571a27d0ef4ad4d4241cbf7015720a2eb691863ad0c77a")
+        "2991f4eeae22597f6c568390918a6113ea24910f9bf538b0a46bae930d8ea706")

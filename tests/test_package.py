@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -29,3 +30,15 @@ def test_package_needs_numpy_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == ""
+
+
+def test_readme_example_runs(tmp_path):
+    # the documented API and its enclosure assert, run as a reader would:
+    # the example writes trace.csv into its working directory
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run([sys.executable, "-c", blocks[0]], env=env, cwd=tmp_path, check=True)
+    assert (tmp_path / "trace.csv").is_file()

@@ -113,6 +113,22 @@ def test_solve_poly_resonance_errors():
         solve_poly_T(plant, target, basis=((1,),))
 
 
+def test_solve_poly_near_resonance_errors():
+    # a 1x1 system has condition number 1 however small it is: only a scale
+    # shows that f = (0.5 + 1e-13) x resonates with lambda = 0.5
+    plant = PlantModel(
+        n_x=1, n_y=1,
+        f=lambda x: (0.5 + 1e-13) * np.asarray(x, float),
+        f_inv=lambda x: np.asarray(x, float) / (0.5 + 1e-13),
+        h=lambda x: np.asarray(x, float),
+        box_x=Box([-1.0], [1.0]), box_x0=Box([-1.0], [1.0]),
+        box_x_enlarged=Box([-1.0], [1.0]),
+    )
+    target = single_block_target(lam=0.5, gamma=1.0)
+    with pytest.raises(ValueError, match="resonant target eigenvalue in block 0"):
+        solve_poly_T(plant, target, basis=((1,),))
+
+
 def test_solve_poly_basis_not_closed():
     plant = make_oscillator_plant()
     target = build_oscillator(gamma=1.0).target
@@ -580,13 +596,37 @@ def test_transform_rejects_target_of_other_channel_count(osc, basis):
         KklTransform(target, osc.plant, basis)
 
 
-def test_transform_rejects_non_affine_dynamics():
+def test_transform_rejects_basis_not_closed_under_cubic_dynamics():
+    # x o f = x^3 / 2 lies in the basis, but x^3 o f = x^9 / 8 does not
     box = Box([-1.0], [1.0])
     plant = PlantModel(n_x=1, n_y=1, f=lambda x: 0.5 * np.asarray(x) ** 3,
                        f_inv=lambda x: np.cbrt(2.0 * np.asarray(x)), h=lambda x: np.asarray(x),
                        box_x=box, box_x0=box, box_x_enlarged=box)
-    with pytest.raises(ValueError, match="not affine"):
+    with pytest.raises(ValueError, match="not closed"):
         KklTransform(single_block_target(), plant, ((1,), (3,)))
+
+
+def test_transform_of_triangular_polynomial_dynamics():
+    # f(x) = (x1 + 0.1 x2^2, 0.9 x2) is not affine, yet {x1, x2, x2^2} is
+    # closed under it: x1 o f = x1 + 0.1 x2^2, x2 o f = 0.9 x2, x2^2 o f = 0.81 x2^2
+    from kklio.transform import jacobian_poly
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    f = lambda x: np.stack([x[..., 0] + 0.1 * x[..., 1] ** 2, 0.9 * x[..., 1]], axis=-1)
+
+    def f_inv(x):
+        x2 = x[..., 1] / 0.9
+        return np.stack([x[..., 0] - 0.1 * x2 ** 2, x2], axis=-1)
+
+    plant = PlantModel(n_x=2, n_y=1, f=f, f_inv=f_inv, h=lambda x: np.asarray(x)[..., :1],
+                       box_x=box, box_x0=box, box_x_enlarged=box)
+    t = KklTransform(real_target((0.1, 0.2, 0.3), np.ones(3), gamma=1.0), plant,
+                     ((1, 0), (0, 1), (0, 2)))
+    x = box.sample(np.random.default_rng(5), 500)
+    assert transform_residual(t, x) <= 1e-12
+    h = 1e-5  # T is quadratic: the central difference errs by rounding only
+    central = np.stack([(eval_T(t, x + h * e) - eval_T(t, x - h * e)) / (2 * h)
+                        for e in np.eye(2)], axis=-1)
+    np.testing.assert_allclose(jacobian_poly(t, x), central, rtol=0, atol=1e-9)
 
 
 def test_transform_affine_dynamics_with_offset():
