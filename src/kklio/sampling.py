@@ -57,16 +57,13 @@ def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = 
     n_local = max(1, (samples - n_global) // len(patterns))
     delta = _PROBE_SCALE * float(np.max(box.width))
 
-    pair_pool = []
-
-    if n_global:
-        # one draw per pair keeps prefixes stable as the budget grows
-        pairs = g_global.uniform(box.lo, box.hi, size=(n_global, 2, box.dim))
-        a, b = pairs[:, 0, :], pairs[:, 1, :]
-        dx = np.max(np.abs(a - b), axis=-1)
-        df = _gap(_eval(fn, a), _eval(fn, b))
-        mask = dx > 1e-300
-        pair_pool.append((a[mask], b[mask], df[mask] / dx[mask]))
+    # one draw per pair keeps prefixes stable as the budget grows
+    pairs = g_global.uniform(box.lo, box.hi, size=(n_global, 2, box.dim))
+    a, b = pairs[:, 0, :], pairs[:, 1, :]
+    dx = np.max(np.abs(a - b), axis=-1)
+    df = _gap(_eval(fn, a), _eval(fn, b))
+    mask = dx > 1e-300
+    pair_pool = [(a[mask], b[mask], df[mask] / dx[mask])]
 
     pts = box.sample(g_local, n_local)
     f_pts = _eval(fn, pts)
@@ -89,34 +86,28 @@ _REFINE_ITERS = 60
 def _descend_ratio(fn, box: Box, pair_pool) -> float:
     """Pattern-search descent of the pair-ratio field from the best candidates.
 
-    ``fn`` values of the current pairs are kept alongside them, so each trial
-    evaluates only the side that moved.
+    The candidates are held as one ``(n, 2, dim)`` array of pairs with their
+    ``(n, 2, out_dim)`` values of ``fn``; a trial moves one side of every
+    pair, so it evaluates only that side.
     """
     a, b, current = _best_pairs(pair_pool, _REFINE_CANDIDATES)
-    fa, fb = _eval(fn, a), _eval(fn, b)
+    pairs = np.stack([a, b], axis=1)
+    values = np.stack([_eval(fn, a), _eval(fn, b)], axis=1)
 
     dim = box.dim
     moves = np.concatenate([sign_patterns(dim), np.eye(dim), -np.eye(dim)])
     step = 0.05 * float(np.max(box.width))
-    n_c = a.shape[0]
     for _ in range(_REFINE_ITERS):
-        improved = np.zeros(n_c, dtype=bool)
-        for move_a in (True, False):
+        improved = np.zeros(len(pairs), dtype=bool)
+        for side, other in ((0, 1), (1, 0)):
             for mv in moves:
-                if move_a:
-                    ta, tb = box.clamp(a + step * mv), b
-                    fta, ftb = _eval(fn, ta), fb
-                else:
-                    ta, tb = a, box.clamp(b + step * mv)
-                    fta, ftb = fa, _eval(fn, tb)
-                dx = np.max(np.abs(ta - tb), axis=-1)
+                trial = box.clamp(pairs[:, side] + step * mv)
+                f_trial = _eval(fn, trial)
+                dx = _gap(trial, pairs[:, other])
                 ok = dx > 1e-12
-                r = np.where(ok, _gap(fta, ftb) / np.where(ok, dx, 1.0), np.inf)
+                r = np.where(ok, _gap(f_trial, values[:, other]) / np.where(ok, dx, 1.0), np.inf)
                 accept = r < current
-                a = np.where(accept[:, None], ta, a)
-                b = np.where(accept[:, None], tb, b)
-                fa = np.where(accept[:, None], fta, fa)
-                fb = np.where(accept[:, None], ftb, fb)
+                pairs[accept, side], values[accept, side] = trial[accept], f_trial[accept]
                 current = np.where(accept, r, current)
                 improved |= accept
         if not np.any(improved):

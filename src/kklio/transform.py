@@ -452,8 +452,8 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
     mode and forward differences in series mode; the warm start (when
     given) and all lattice starts iterate in one batch, which a start leaves
     once it meets ``z``, once its model promises no decrease beyond
-    rounding, once it stalls, or once it can no longer be the returned point
-    (see ``_gauss_newton``). Ties between equally good
+    rounding, once it stalls, or once its current point can no longer be
+    the returned point (see ``_gauss_newton``). Ties between equally good
     minimizers break on smaller max-norm, then lexicographically, so
     results are deterministic. Never raises: the residual reports the fit
     quality.
@@ -480,18 +480,18 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
             raise ValueError(f"warm must have shape {z.shape[:-1] + (n_x,)}, got {warm.shape}")
         starts = np.concatenate([warm.reshape(p, 1, n_x), starts], axis=1)
     xs, rs = _gauss_newton(t, zs, starts, cfg)
-    best = [_best_start(x, r) for x, r in zip(xs, rs)]
-    x_best = xs[np.arange(p), best]
-    r_best = rs[np.arange(p), best]
+    rows = np.arange(p), _best_start(xs, rs)
     if z.ndim == 1:
-        return x_best[0], float(r_best[0])
-    return x_best, r_best
+        return xs[rows][0], float(rs[rows][0])
+    return xs[rows], rs[rows]
 
 
-def _best_start(xs: np.ndarray, rs: np.ndarray) -> int:
-    """Index of the smallest residual; ties go to the smaller max-norm, then
-    to the lexicographically smaller point, then to the earlier start."""
-    return int(np.lexsort(tuple(xs.T[::-1]) + (np.abs(xs).max(axis=1), rs))[0])
+def _best_start(xs: np.ndarray, rs: np.ndarray):
+    """Index of the smallest residual along the last axis of ``rs``; ties go
+    to the smaller max-norm, then to the lexicographically smaller point,
+    then to the earlier start. ``xs`` has one more axis, the point's."""
+    keys = tuple(np.moveaxis(xs, -1, 0)[::-1]) + (np.abs(xs).max(axis=-1), rs)
+    return np.lexsort(keys, axis=-1)[..., 0]
 
 
 _LS_ALPHAS = 0.5 ** np.arange(14)
@@ -511,43 +511,42 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
       that the linear model of its full Gauss-Newton step ``d`` promises
       is at most ``_STOP_DECREASE * f``, where ``f`` is its sum of squares:
       below that, the decrease is within the rounding of ``f`` itself;
-    * before its line search, once it can no longer be its target's
-      returned point: with ``best`` the smallest current sum of squares
-      among the starts of its target, both ``f`` and ``||res + J d||^2``
-      exceed ``n_z * best``. Its max-norm residual, at least
-      ``sqrt(f / n_z)``, then exceeds ``sqrt(best)``, which bounds the final
-      max-norm residual of that best start, since no start's sum of squares
-      ever grows;
+    * before its line search, once its current point can no longer be its
+      target's returned point: with ``best`` the smallest current sum of
+      squares among the starts of its target, both ``f`` and
+      ``||res + J d||^2`` exceed ``n_z * best``. Its max-norm residual, at
+      least ``sqrt(f / n_z)``, then exceeds ``sqrt(best)``, which bounds the
+      final max-norm residual of that best start, since no start's sum of
+      squares ever grows. The linear model can be pessimistic, so with more
+      iterations the dropped start might still have beaten the winner;
     * after its line search, once no step of the ladder lowers ``f`` or the
       accepted step moves it by rounding only.
 
-    The Jacobian is exact in polynomial mode (``jacobian_poly``) and a
-    forward difference in series mode. While a start is in the batch its
-    iterates do not depend on the other starts, and whether it stays
-    depends only on the starts of its own target, so each target's end
-    points do not depend on the other targets, as long as ``eval_T`` and
-    the Jacobian give a point the same bits in any batch: a lone polynomial
-    point goes through a one-row matmul (BLAS gemv) that rounds
-    differently, and the series probes of a lone active start are one point
-    when ``n_x == 1``.
+    ``x``, ``res`` and ``f`` hold every start's point, residual and sum of
+    squares; an iteration gathers the rows of the active indices ``act`` and
+    writes back the starts that moved. The Jacobian is exact in polynomial
+    mode (``jacobian_poly``) and a forward difference in series mode. While
+    a start is in the batch its iterates do not depend on the other starts,
+    and whether it stays depends only on the starts of its own target, so
+    each target's end points do not depend on the other targets, as long as
+    ``eval_T`` and the Jacobian give a point the same bits in any batch: a
+    lone polynomial point goes through a one-row matmul (BLAS gemv) that
+    rounds differently, and the series probes of a lone active start are
+    one point when ``n_x == 1``.
     """
     p, n_per, n_x = starts.shape
     n_z = z.shape[1]
-    lo, hi = cfg.box.lo, cfg.box.hi
-    x = np.minimum(np.maximum(np.asarray(starts, dtype=float).reshape(-1, n_x), lo), hi)
-    z = np.repeat(z, n_per, axis=0)
-    res = eval_T(t, x) - z
-    f = (res * res).sum(axis=1)  # each start's latest sum of squares, for its target's best
+    x = cfg.box.clamp(starts.reshape(-1, n_x))
+    act = np.arange(len(x))
+    res = eval_T(t, x) - z[act // n_per]
+    f = (res * res).sum(axis=1)
     damping = 1e-12 * np.eye(n_x)
-    # the active starts, compacted: index, point, residual, target, sum of squares
-    act, xa, ra, za, fa = np.arange(len(x)), x, res, z, f
     for _ in range(_MAX_ITERS):
         # a start that meets its target leaves before its Jacobian
-        keep = np.abs(ra).max(axis=1) > _TOL
-        if not keep.all():
-            act, xa, ra, za, fa = act[keep], xa[keep], ra[keep], za[keep], fa[keep]
+        act = act[np.abs(res[act]).max(axis=1) > _TOL]
         if not act.size:
             break
+        xa, ra, fa, za = x[act], res[act], f[act], z[act // n_per]
         bound = n_z * f.reshape(p, n_per).min(axis=1)[act // n_per]
         jac = _jacobian(t, xa, ra, za)
         jtj = np.einsum("sri,srj->sij", jac, jac) + damping
@@ -556,30 +555,24 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         lin = ra + np.einsum("sri,si->sr", jac, direction)
         model = (lin * lin).sum(axis=1)
         keep = ((fa <= bound) | (model <= bound)) & (fa - model > _STOP_DECREASE * fa)
-        if not keep.all():
-            act, xa, ra, za, fa, direction = (
-                act[keep], xa[keep], ra[keep], za[keep], fa[keep], direction[keep])
-            if not act.size:
-                break
+        act, xa, fa, za, direction = act[keep], xa[keep], fa[keep], za[keep], direction[keep]
+        if not act.size:
+            break
 
-        # whole backtracking ladder in one batched evaluation per iteration
-        n_s = len(act)
-        trials = np.minimum(np.maximum(xa + _LS_ALPHAS[:, None, None] * direction, lo), hi)
-        res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), n_s, -1) - za
+        # whole backtracking ladder in one batched evaluation per iteration;
+        # a start takes its first improving step
+        trials = cfg.box.clamp(xa + _LS_ALPHAS[:, None, None] * direction)
+        res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), len(act), -1) - za
         f_t = (res_t * res_t).sum(axis=2)
         improving = f_t < fa
-        pick = np.argmax(improving, axis=0), np.arange(n_s)
-        step = improving[pick]
-        x_next = np.where(step[:, None], trials[pick], xa)
+        moved = np.flatnonzero(improving.any(axis=0))
+        pick = improving[:, moved].argmax(axis=0), moved
+        act, x_new = act[moved], trials[pick]
+        x[act], res[act], f[act] = x_new, res_t[pick], f_t[pick]
         # a start without an improving step, or one that moves by rounding
         # only, has stalled
-        keep = (np.abs(x_next - xa).max(axis=1)
-                > 1e-15 * (1.0 + np.abs(x_next).max(axis=1)))
-        xa, ra = x_next, np.where(step[:, None], res_t[pick], ra)
-        fa = np.where(step, f_t[pick], fa)
-        x[act], res[act], f[act] = xa, ra, fa
-        if not keep.all():
-            act, xa, ra, za, fa = act[keep], xa[keep], ra[keep], za[keep], fa[keep]
+        act = act[np.abs(x_new - xa[moved]).max(axis=1)
+                  > 1e-15 * (1.0 + np.abs(x_new).max(axis=1))]
     resid = np.abs(res).max(axis=1)
     return x.reshape(p, n_per, n_x), resid.reshape(p, n_per)
 

@@ -417,6 +417,12 @@ def test_gauss_newton_rows_independent_of_batch(osc, osc_series, mode):
     xs, rs = _gauss_newton(t, z, starts[:, None], cfg)
     xs, rs = xs[:, 0], rs[:, 0]
     assert rs[0] > 1.0 and rs[2] <= 1e-8
+    # each residual is the one of its own returned point, and no start ends
+    # with a larger sum of squares than its clamped start
+    res = eval_T(t, xs) - z
+    assert np.array_equal(rs, np.abs(res).max(axis=1))
+    res_0 = eval_T(t, cfg.box.clamp(starts)) - z
+    assert np.all((res * res).sum(axis=1) <= (res_0 * res_0).sum(axis=1))
     for s in range(10):
         x, r = _gauss_newton(t, z[[s, s]], starts[[s, s], None], cfg)
         x, r = x[:, 0], r[:, 0]
@@ -655,6 +661,12 @@ def test_best_start_matches_sorted_keys():
         rs = rng.choice([0.0, 1e-12, 0.3], size=12)
         ref = sorted(range(12), key=lambda i: (rs[i], np.max(np.abs(xs[i])), tuple(xs[i])))[0]
         assert _best_start(xs, rs) == ref
+    # a (p, 12) stack: each row's index is the single-row call's
+    xs = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=(50, 12, 2))
+    rs = rng.choice([0.0, 1e-12, 0.3], size=(50, 12))
+    best = _best_start(xs, rs)
+    assert best.shape == (50,)
+    assert all(best[g] == _best_start(xs[g], rs[g]) for g in range(50))
 
 
 def _monomials_product_loop(x, basis):
