@@ -17,6 +17,7 @@ non-finite bound counts as a violation.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -287,6 +288,7 @@ def write_csv(path: str, rows: Sequence[TraceRow]) -> None:
 
 
 def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    # non-finite values fall through to "nan", "inf" and "-inf"
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return f"{v:.17g}"

@@ -8,12 +8,21 @@ The estimators combine two pair populations over a box:
   (exactly so for linear maps).
 
 Both populations are generated from separate child streams of one seed, and
-a larger ``samples`` budget extends each stream, so estimates are monotone
-under growing sample sets.
+a larger ``samples`` budget extends each stream, so the sampled extremum is
+monotone under growing sample sets. The descended minimum of minimize mode is
+not: a larger budget can start the descent from other candidates and end
+higher (on the oscillator's transform at gamma 1, seed 1, 400 samples give
+0.0039 and 800 give 0.022).
+
+Both populations stream through ``fn`` in chunks of at most ``_CHUNK`` rows,
+keeping only a running extremum and each pool piece's best descent
+candidates, so memory is set by the chunk, not the budget. The result is
+bit-equal to one pass over all rows.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -22,6 +31,7 @@ from .intervals import Box
 
 _PROBE_SCALE = 1e-4
 _MAX_PATTERNS = 64
+_CHUNK = 8192
 
 
 def sign_patterns(dim: int) -> np.ndarray:
@@ -57,26 +67,53 @@ def pair_ratio_extremum(fn, box: Box, samples: int, seed: int, minimize: bool = 
     n_local = max(1, (samples - n_global) // len(patterns))
     delta = _PROBE_SCALE * float(np.max(box.width))
 
-    # one draw per pair keeps prefixes stable as the budget grows
-    pairs = g_global.uniform(box.lo, box.hi, size=(n_global, 2, box.dim))
-    a, b = pairs[:, 0, :], pairs[:, 1, :]
-    dx = np.max(np.abs(a - b), axis=-1)
-    df = _gap(_eval(fn, a), _eval(fn, b))
-    mask = dx > 1e-300
-    pair_pool = [(a[mask], b[mask], df[mask] / dx[mask])]
+    extremum = np.min if minimize else np.max
+    found = []  # each chunk's extremum; NaN propagates through the final one
+    # minimize mode: each pool piece's best pairs so far, the uniform pairs
+    # first, then one piece per sign pattern
+    best = [None] * (1 + len(patterns))
 
-    pts = box.sample(g_local, n_local)
-    f_pts = _eval(fn, pts)
-    for s in patterns:
-        probed = pts + delta * s
-        df = _gap(_eval(fn, probed), f_pts)
-        pair_pool.append((probed, pts, df / delta))
+    def take(piece, a, b, r):
+        if r.size:
+            found.append(extremum(r))
+        if minimize:
+            if best[piece] is not None:
+                a, b, r = (np.concatenate(p) for p in zip(best[piece], (a, b, r)))
+            keep = _smallest_k(r, _REFINE_CANDIDATES)
+            best[piece] = (a[keep], b[keep], r[keep])
 
-    all_ratios = np.concatenate([r for _, _, r in pair_pool])
+    # sequential draws continue one stream, so prefixes stay stable as the
+    # budget grows and the chunking does not change the pairs
+    for n in _chunk_sizes(n_global):
+        pairs = g_global.uniform(box.lo, box.hi, size=(n, 2, box.dim))
+        a, b = pairs[:, 0, :], pairs[:, 1, :]
+        dx = _gap(a, b)
+        df = _gap(_eval(fn, a), _eval(fn, b))
+        mask = dx > 1e-300
+        take(0, a[mask], b[mask], df[mask] / dx[mask])
+
+    for n in _chunk_sizes(n_local):
+        pts = box.sample(g_local, n)
+        f_pts = _eval(fn, pts)
+        for piece, s in enumerate(patterns, 1):
+            probed = pts + delta * s
+            take(piece, probed, pts, _gap(_eval(fn, probed), f_pts) / delta)
+
+    result = float(extremum(found))
     if not minimize:
-        return float(np.max(all_ratios))
-    best = float(np.min(all_ratios))
-    return min(best, _descend_ratio(fn, box, pair_pool))
+        return result
+    return min(result, _descend_ratio(fn, box, best))
+
+
+def _chunk_sizes(n: int) -> list[int]:
+    """Row counts of ``ceil(n / _CHUNK)`` nearly equal chunks of ``n`` rows.
+
+    No chunk has one row unless ``n`` is one: a one-row batch goes to BLAS
+    gemv in a polynomial ``eval_T`` and rounds differently from a batch.
+    """
+    count = -(-n // _CHUNK)
+    size, extra = divmod(n, count)
+    return [size + 1] * extra + [size] * (count - extra)
 
 
 _REFINE_CANDIDATES = 16
@@ -120,15 +157,13 @@ def _descend_ratio(fn, box: Box, pair_pool) -> float:
 def _best_pairs(pair_pool, k: int):
     """The ``k`` lowest-ratio pairs of the pool, ties in pool order.
 
-    Equal to a stable sort of the concatenated pool, but only each piece's
-    own best ``k`` are gathered: a pair among the best ``k`` overall is among
-    the best ``k`` of its piece, and the gathered candidates keep pool order.
+    The sampler keeps only each piece's best ``k`` pairs, so the stable sort
+    of the concatenated pool is a sort of a few dozen ratios.
     """
-    picks = [(a, b, r, _smallest_k(r, k)) for a, b, r in pair_pool]
-    r = np.concatenate([r[i] for _, _, r, i in picks])
+    r = np.concatenate([r for _, _, r in pair_pool])
     order = np.argsort(r, kind="stable")[:k]
-    a = np.concatenate([a[i] for a, _, _, i in picks])[order]
-    b = np.concatenate([b[i] for _, b, _, i in picks])[order]
+    a = np.concatenate([a for a, _, _ in pair_pool])[order]
+    b = np.concatenate([b for _, b, _ in pair_pool])[order]
     return a, b, r[order]
 
 
@@ -152,4 +187,9 @@ def _eval(fn, x) -> np.ndarray:
 
 
 def _gap(fa, fb):
-    return np.max(np.abs(fa - fb), axis=-1)
+    """Max-abs difference over the last axis, as a column-wise maximum.
+
+    Exact in any order, and far faster than ``np.max(..., axis=-1)`` over a
+    last axis only a few entries long; NaN propagates the same way.
+    """
+    return reduce(np.maximum, np.moveaxis(np.abs(fa - fb), -1, 0))

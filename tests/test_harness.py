@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kklio.cli import main
-from kklio.harness import RunConfig, compare_gammas, csv_header, format_comparison, run_experiment
+from kklio import harness
+from kklio.harness import (RunConfig, TraceRow, compare_gammas, csv_header, format_comparison,
+                           run_experiment, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -380,3 +382,32 @@ def test_left_box_surfaced_with_exit_4(monkeypatch, tmp_path, capsys):
     assert "left the enlarged box at k=3" in capsys.readouterr().err
     assert out_left.read_bytes() == out_ok.read_bytes()
     assert main(["compare", "--gammas", "1.0", "--steps", "8"]) == 4
+
+
+def test_write_csv_non_finite_bounds(tmp_path):
+    out = tmp_path / "t.csv"
+    one = np.array([1.0])
+    row = TraceRow(k=3, x=np.array([0.5, 2.0]), x_lo=np.array([np.nan, -np.inf]),
+                   x_hi=np.array([np.inf, 1e20]), z=one, z_lo=one, z_hi=one, y=one, w=one,
+                   resid_hi=0.25, resid_lo=np.nan, width_x=np.inf, width_z=0.0)
+    write_csv(str(out), [row])
+    assert out.read_text().split("\n")[1] == "3,0.5,2,nan,-inf,inf,1e+20,1,1,1,1,1,0.25,nan,inf,0"
+
+
+def test_cli_run_with_non_finite_bounds_reports_violation(tmp_path, monkeypatch):
+    recover = harness.recover_x_bounds
+
+    def broken(state, cfg):
+        state = recover(state, cfg)
+        if state.k == 2:
+            return dataclasses.replace(state, x_lo=np.full_like(state.x_lo, np.nan))
+        if state.k == 3:
+            return dataclasses.replace(state, x_hi=np.full_like(state.x_hi, np.inf))
+        return state
+
+    monkeypatch.setattr(harness, "recover_x_bounds", broken)
+    out = tmp_path / "t.csv"
+    assert main(["run", "--steps", "3", "--noise", "off", "--out", str(out)]) == 2
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert rows[2][3:5] == ["nan", "nan"]
+    assert rows[3][5:7] == ["inf", "inf"]
