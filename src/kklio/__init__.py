@@ -2,13 +2,15 @@
 
 The observer transforms a plant into coordinates where the dynamics are
 linear and Schur, propagates upper/lower bounds there through a nonnegative
-constant matrix, and maps the bounds back through a Lipschitz-injective
-numerical inverse of the transform.
+constant matrix, and maps the bounds back to the state: by set inversion of
+the transform when it is quadratic, by a Lipschitz-injective numerical
+inverse otherwise.
 """
 
 from .coords import CanonicalBlock, CoordChangeSeq, assemble_target_matrix, build_coord_change
 from .intervals import Box, inf_norm, interval_image, mat_inf_norm, split_neg, split_pos
-from .observer import ObserverConfig, ObserverState, init_observer, recover_x_bounds, step
+from .observer import (EmptyRecoveryError, ObserverConfig, ObserverState, init_observer,
+                       recover_x_bounds, step)
 from .plant import (PlantModel, PlantTrace, distinguishability_map, estimate_c_o,
                     estimate_lipschitz, simulate_plant)
 from .transform import (ClosedFormConstants, InverseConfig, KklTransform, SystemConstants,
@@ -29,5 +31,5 @@ __all__ = [
     "transform_residual", "estimate_forward_lipschitz", "estimate_injectivity",
     "CanonicalBlock", "CoordChangeSeq", "build_coord_change", "assemble_target_matrix",
     "ObserverConfig", "ObserverState", "init_observer", "step",
-    "recover_x_bounds",
+    "recover_x_bounds", "EmptyRecoveryError",
 ]

@@ -11,7 +11,8 @@ The options are the fields of ``RunConfig``, which checks their values, plus
 option; explicit command-line flags win on conflict. Exit codes: 0 success,
 2 enclosure violation, 3 configuration error (a command-line usage error
 too), 4 the true state left the enlarged box (the guarantees no longer hold
-from that step on).
+from that step on). An empty state set found by recovery is a violation:
+it exits 2 and names the step.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         _report_left_box(s)
         return EXIT_LEFT_BOX
     if s["violations"]:
+        _report_empty_set(s)
         print(f"enclosure violated at {s['violations']} step(s), first at "
               f"k={s['first_violation_k']}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -142,10 +144,18 @@ def _cmd_compare(cfg: RunConfig, gammas) -> int:
         return EXIT_LEFT_BOX
     bad = [s for s in summaries if s["violations"]]
     if bad:
+        _report_empty_set(bad[0])
         print(f"enclosure violated for gamma={bad[0]['gamma']:g} at "
               f"k={bad[0]['first_violation_k']}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
+
+
+def _report_empty_set(s: dict) -> None:
+    if s.get("empty_set_at") is not None:
+        print(f"state set empty at k={s['empty_set_at']} (gamma={s['gamma']:g}): no state "
+              "maps into the transform bounds, so the noise or the disturbance left its "
+              "declared bounds; the run stopped there", file=sys.stderr)
 
 
 def _report_left_box(s: dict) -> None:

@@ -9,15 +9,35 @@ matrix ``Lambda = R_{k+1} A inv(R_k)`` is constant, nonnegative and Schur:
 (with ``R = R_{k+1}`` and the superscripts denoting the nonnegative sign
 split). Known disturbance bounds on the state equation widen both framed
 bounds by their transform-Lipschitz image mapped through the frame split.
-Unframed bounds follow from the split of the inverse frame. State-space
-bounds are recovered by numerically inverting the transform at both bound
-vectors, ``u = T*(z+)`` and ``v = T*(z-)``, as the intersection
-``[max(u, v) - margin, min(u, v) + margin]`` with the inverse-Lipschitz margin
-``c / gamma**(m_bar-1) * max_j (z+_j - z-_j)``. That box holds every state
-whose image lies in the bounds only if the inversions are exact and the
-sampled ``c_I`` is a true injectivity margin. Neither is certified, and
-noise-free orbits near a near-singular point of the Jacobian of ``T`` break
-enclosure even with the harness's residual slack.
+Unframed bounds follow from the split of the inverse frame.
+
+State-space bounds come from the unframed bounds ``[z]`` in one of two ways:
+
+* set inversion, when the transform's Jacobian is affine (polynomial mode
+  with a basis of degree at most 2; ``setinv``): the returned box is the
+  hull of every state of a prior box whose image lies in ``[z]``, found by
+  bisection and contracted by Krawczyk. The prior is ``f([x_k]) + [d]``,
+  which ``step`` computes from the previous bounds when the plant declares
+  linear dynamics (``PlantModel.f_linear``), intersected with the enlarged
+  box; without one it is the enlarged box. The box needs no residual slack,
+  so the state reports residuals of 0.0. A state set that comes out empty
+  means a broken assumption (noise or disturbance outside its declared
+  bounds, or the state outside the enlarged box) and raises
+  ``EmptyRecoveryError``; recovery never falls back to a wider box. The
+  paper's box (next item) is still computed, from one Gauss-Newton start
+  per bound at the hull's centre, and kept on the state as a diagnostic.
+* the paper's recovery otherwise (series mode): both bound vectors are
+  inverted numerically, ``u = T*(z+)`` and ``v = T*(z-)``, and the bounds
+  are ``[max(u, v) - margin, min(u, v) + margin]`` with the inverse-Lipschitz
+  margin ``c / gamma**(m_bar-1) * max_j (z+_j - z-_j)``. That box holds every
+  state whose image lies in ``[z]`` only if the inversions are exact and the
+  sampled ``c_I`` is a true injectivity margin. Neither is certified; the
+  state reports the inversion residuals, which the harness turns into a
+  slack.
+
+Rounding is not yet outward anywhere: set inversion widens its bounds by a
+stated rounding bound (``setinv._PAD_REL``), and the propagation rounds to
+nearest.
 
 States are immutable values; ``step`` and the recovery operations return new
 states, so independent observers can run concurrently.
@@ -32,7 +52,18 @@ import numpy as np
 
 from .coords import CoordChangeSeq
 from .intervals import Box, inf_norm, interval_image
+from .setinv import _PAD_REL, QuadraticEnclosure, set_invert
 from .transform import InverseConfig, KklTransform, SystemConstants, eval_T, invert_T
+
+
+class EmptyRecoveryError(RuntimeError):
+    """No state of the prior box maps into the transform bounds at step ``k``."""
+
+    def __init__(self, k: int):
+        super().__init__(f"the state set is empty at k={k}: no state of the prior box maps "
+                         "into the transform bounds (noise or disturbance outside its declared "
+                         "bounds, or the state outside the enlarged box)")
+        self.k = k
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +79,9 @@ class ObserverConfig:
     the keyword remains because the benchmark worker (``perfbench/worker.py``)
     passes it. The inversion box must lie inside the plant's enlarged box,
     where ``c_L`` and ``c_I`` are sampled, and contain the invariant box.
+    ``enclosure`` is derived too: the coefficient arrays of set-inversion
+    recovery over the enlarged box, or ``None`` when the transform's
+    Jacobian is not affine and recovery is the paper's.
     """
 
     transform: KklTransform
@@ -57,6 +91,7 @@ class ObserverConfig:
     inverse_cfg: InverseConfig
     recovery_variant: str = "min_max"
     margin_c_over_gamma: float = field(init=False)
+    enclosure: Optional[QuadraticEnclosure] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.recovery_variant != "min_max":
@@ -78,15 +113,21 @@ class ObserverConfig:
         target = self.transform.target
         if self.coord.blocks != target.blocks or self.coord.gamma != target.gamma:
             raise ValueError("coordinate frames do not match the target's blocks and gamma")
+        object.__setattr__(self, "enclosure",
+                           QuadraticEnclosure.of(self.transform, plant.box_x_enlarged))
 
 
 @dataclass(frozen=True, eq=False)
 class ObserverState:
     """Bounds at time ``k``; state-space bounds exist after recovery.
 
-    ``inv_hi``/``inv_lo`` cache the raw inversion points used to warm-start
-    the next recovery; ``resid_hi``/``resid_lo`` are the reported inversion
-    residuals (zero at ``k = 0``, where the bounds are the initial box).
+    ``inv_hi``/``inv_lo`` hold the inversion points of the paper's box (they
+    warm-start the next recovery in series mode); ``resid_hi``/``resid_lo``
+    are the residual slack the returned box needs: the inversion residuals
+    of the paper's recovery, 0.0 for set inversion and at ``k = 0``, where
+    the bounds are the initial box. With set inversion, ``prior_lo``/
+    ``prior_hi`` are the prior ``step`` computed (``None`` without one), and
+    ``paper_lo``/``paper_hi`` the paper's box, kept as a diagnostic.
     """
 
     k: int
@@ -100,6 +141,10 @@ class ObserverState:
     inv_lo: Optional[np.ndarray] = None
     resid_hi: float = 0.0
     resid_lo: float = 0.0
+    prior_lo: Optional[np.ndarray] = None
+    prior_hi: Optional[np.ndarray] = None
+    paper_lo: Optional[np.ndarray] = None
+    paper_hi: Optional[np.ndarray] = None
 
 
 def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
@@ -138,8 +183,12 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
          w_lo, w_hi, d_lo=None, d_hi=None) -> ObserverState:
     """Advance the framed bounds one step using the output at time ``k``.
 
-    Raises ``ValueError`` on a NaN or infinite input, on unordered bounds, and
-    on inputs not of shape ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
+    With set-inversion recovery and linear dynamics (``PlantModel.f_linear``),
+    it also maps the state bounds at ``k``, when they are finite, through the
+    dynamics and adds the disturbance bounds: the exact prior of the next
+    recovery, padded by the rounding bound. Raises ``ValueError`` on a NaN or
+    infinite input, on unordered bounds, and on inputs not of shape
+    ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
     """
     plant = cfg.transform.plant
     y_k = _finite("y_k", y_k, plant.n_y)
@@ -155,7 +204,8 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     zhat_hi = lam @ state.zhat_hi + drive - n_lo
     zhat_lo = lam @ state.zhat_lo + drive - n_hi
 
-    if d_lo is not None or d_hi is not None:
+    disturbed = d_lo is not None or d_hi is not None
+    if disturbed:
         d_lo = np.zeros(plant.n_x) if d_lo is None else _finite("d_lo", d_lo, plant.n_x)
         d_hi = np.zeros(plant.n_x) if d_hi is None else _finite("d_hi", d_hi, plant.n_x)
         if np.any(d_lo > d_hi):
@@ -167,10 +217,24 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
             zhat_hi = zhat_hi + widen_hi
             zhat_lo = zhat_lo + widen_lo
 
+    prior_lo = prior_hi = None
+    if cfg.enclosure is not None and plant.f_linear is not None and _bounded(state):
+        prior_lo, prior_hi = interval_image(plant.f_linear, state.x_lo, state.x_hi)
+        if disturbed:
+            prior_lo, prior_hi = prior_lo + d_lo, prior_hi + d_hi
+        pad = _PAD_REL * (1.0 + np.maximum(np.abs(prior_lo), np.abs(prior_hi)))
+        prior_lo, prior_hi = prior_lo - pad, prior_hi + pad
+
     z_lo, z_hi = interval_image(cfg.coord.S(state.k + 1), zhat_lo, zhat_hi)
     return ObserverState(k=state.k + 1, zhat_hi=zhat_hi, zhat_lo=zhat_lo,
                          z_hi=z_hi, z_lo=z_lo,
-                         inv_hi=state.inv_hi, inv_lo=state.inv_lo)
+                         inv_hi=state.inv_hi, inv_lo=state.inv_lo,
+                         prior_lo=prior_lo, prior_hi=prior_hi)
+
+
+def _bounded(state: ObserverState) -> bool:
+    return (state.x_lo is not None and state.x_hi is not None
+            and bool(np.all(np.isfinite(state.x_lo)) and np.all(np.isfinite(state.x_hi))))
 
 
 def _finite(name: str, v, n: Optional[int] = None) -> np.ndarray:
@@ -187,21 +251,45 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
     """Recover state-space bounds from the current unframed bounds.
 
     At ``k = 0`` the bounds are the initial box and the state is returned
-    unchanged. Otherwise both bound vectors are inverted numerically in one
-    stacked call (each warm started from its previous recovery); the state
-    bounds are the intersection of the two inverse-Lipschitz boxes around
-    the inverses.
+    unchanged. With set inversion (``cfg.enclosure``) the bounds are the
+    contracted hull of the states of the prior whose image lies in the
+    bounds, and an empty set raises ``EmptyRecoveryError``; the paper's box
+    is added as a diagnostic. Otherwise they are the paper's box, from both
+    bound vectors inverted in one stacked call, each warm started from its
+    previous recovery.
     """
     if state.k == 0:
         return state
-    warm = None
-    if state.inv_hi is not None and state.inv_lo is not None:
-        warm = np.stack([state.inv_hi, state.inv_lo])
-    (u, v), resids = invert_T(cfg.transform, np.stack([state.z_hi, state.z_lo]),
-                              cfg.inverse_cfg, warm=warm)
-    resid_hi, resid_lo = float(resids[0]), float(resids[1])
-    margin = cfg.margin_c_over_gamma * float(np.max(state.z_hi - state.z_lo))
-    x_hi = np.minimum(u, v) + margin
-    x_lo = np.maximum(u, v) - margin
+    if cfg.enclosure is None:
+        warm = None
+        if state.inv_hi is not None and state.inv_lo is not None:
+            warm = np.stack([state.inv_hi, state.inv_lo])
+        (x_lo, x_hi), u, v, resids = _paper_box(state, cfg, warm, lattice=True)
+        return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
+                       resid_hi=float(resids[0]), resid_lo=float(resids[1]))
+
+    box = cfg.transform.plant.box_x_enlarged
+    lo, hi = box.lo, box.hi
+    if state.prior_lo is not None:
+        lo, hi = np.maximum(lo, state.prior_lo), np.minimum(hi, state.prior_hi)
+    found = None
+    if np.all(lo <= hi):
+        found = set_invert(cfg.enclosure, state.z_lo, state.z_hi, lo, hi)
+    if found is None:
+        raise EmptyRecoveryError(state.k)
+    x_lo, x_hi, _ = found
+    centre = 0.5 * (x_lo + x_hi)
+    (paper_lo, paper_hi), u, v, _ = _paper_box(state, cfg, np.stack([centre, centre]),
+                                               lattice=False)
     return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
-                   resid_hi=resid_hi, resid_lo=resid_lo)
+                   resid_hi=0.0, resid_lo=0.0,
+                   paper_lo=paper_lo, paper_hi=paper_hi)
+
+
+def _paper_box(state: ObserverState, cfg: ObserverConfig, warm, lattice: bool):
+    """The paper's box ``[max(u, v) - margin, min(u, v) + margin]`` with the
+    inverses ``u``, ``v`` of both bound vectors and their residuals."""
+    (u, v), resids = invert_T(cfg.transform, np.stack([state.z_hi, state.z_lo]),
+                              cfg.inverse_cfg, warm=warm, lattice=lattice)
+    margin = cfg.margin_c_over_gamma * float(np.max(state.z_hi - state.z_lo))
+    return (np.maximum(u, v) - margin, np.minimum(u, v) + margin), u, v, resids

@@ -33,7 +33,11 @@ class PlantModel:
     ``box_x0`` holds the initial-condition corners, ``box_x`` the invariant
     set, and ``box_x_enlarged`` the saturation box; they must be nested. The
     map shapes are checked once, on the two corners of ``box_x``, as a
-    ``(2, n_x)`` and as a ``(2, 1, n_x)`` array.
+    ``(2, n_x)`` and as a ``(2, 1, n_x)`` array. ``f_linear``, when given, is
+    the ``(n_x, n_x)`` matrix of linear dynamics, ``f(x) = f_linear @ x``,
+    checked against ``f`` on the corners and centre of ``box_x_enlarged``
+    to ``1e-12`` relative; the observer maps state bounds through it
+    exactly, as the prior of set-inversion recovery.
     """
 
     n_x: int
@@ -44,6 +48,7 @@ class PlantModel:
     box_x: Box
     box_x0: Box
     box_x_enlarged: Box
+    f_linear: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -67,6 +72,16 @@ class PlantModel:
                 if shape != pts.shape[:-1] + (n_out,):
                     raise ValueError(f"{name} maps an input of shape {pts.shape} to shape "
                                      f"{shape}, expected {pts.shape[:-1] + (n_out,)}")
+        if self.f_linear is not None:
+            mat = np.array(self.f_linear, dtype=float)
+            if mat.shape != (self.n_x, self.n_x) or not np.all(np.isfinite(mat)):
+                raise ValueError(f"f_linear must be a finite ({self.n_x}, {self.n_x}) matrix")
+            pts = np.vstack([self.box_x_enlarged.grid(2), self.box_x_enlarged.center])
+            fx = np.asarray(self.f(pts), dtype=float)
+            if not np.all(np.abs(fx - pts @ mat.T) <= 1e-12 * (1.0 + np.abs(pts) @ np.abs(mat).T)):
+                raise ValueError("f_linear does not match f on the enlarged box")
+            mat.setflags(write=False)
+            object.__setattr__(self, "f_linear", mat)
 
     def backward_orbit(self, x, n: int) -> np.ndarray:
         """Rows ``j < n``: ``x`` after ``j + 1`` steps of ``f_inv``, each clamped into the

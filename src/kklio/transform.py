@@ -28,6 +28,7 @@ the rounding of its sum of squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -428,24 +429,41 @@ def _fit(vander: np.ndarray, values: np.ndarray, what: str) -> np.ndarray:
 def _monomials(x: np.ndarray, basis) -> np.ndarray:
     """Basis monomials of ``x``, one column per basis exponent tuple.
 
-    Each power ``x_i ** p`` is computed once and the products are taken in
+    Walks the basis's plan (``_monomial_plan``): each power ``x_i ** p`` is
+    computed once (``x_i`` itself for ``p = 1``) and the products are taken in
     axis order, so the values equal the per-monomial product loop's.
     """
-    powers = {(i, p): x[..., i] ** p for e in basis for i, p in enumerate(e) if p}
-    out = np.ones(x.shape[:-1] + (len(basis),))
-    for j, e in enumerate(basis):
-        col = out[..., j]
-        for i, p in enumerate(e):
-            if p:
-                np.multiply(col, powers[i, p], out=col)
+    powers, columns = _monomial_plan(basis)
+    pw = [x[..., i] if p == 1 else x[..., i] ** p for i, p in powers]
+    out = np.empty(x.shape[:-1] + (len(columns),))
+    for j, factors in enumerate(columns):
+        if not factors:
+            out[..., j] = 1.0
+        elif len(factors) == 1:
+            out[..., j] = pw[factors[0]]
+        else:
+            col = out[..., j]
+            np.multiply(pw[factors[0]], pw[factors[1]], out=col)
+            for f in factors[2:]:
+                np.multiply(col, pw[f], out=col)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _monomial_plan(basis) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The distinct powers ``(i, p)`` of ``basis``, a tuple of exponent
+    tuples, and, per monomial, the indices of its powers in axis order;
+    built once per basis."""
+    powers = tuple(dict.fromkeys((i, p) for e in basis for i, p in enumerate(e) if p))
+    columns = tuple(tuple(powers.index((i, p)) for i, p in enumerate(e) if p) for e in basis)
+    return powers, columns
 
 
 # ---------------------------------------------------------------------------
 # numerical left inverse
 
 
-def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
+def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None, lattice: bool = True):
     """Best box-constrained preimage of ``z`` under the transform.
 
     Multi-start damped Gauss-Newton, with the exact Jacobian in polynomial
@@ -464,6 +482,8 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
     is shaped like the result: ``(n_x,)`` for one target, ``(p, n_x)``
     (one point per target) for a stack. All targets' starts run in the
     same batch; a target whose starts have all stopped costs nothing more.
+    ``lattice=False`` skips the lattice: each target then has the warm start
+    alone, which must be given.
     """
     z = np.asarray(z, dtype=float)
     n_z = t.target.n_z
@@ -471,14 +491,16 @@ def invert_T(t: KklTransform, z, cfg: InverseConfig, warm=None):
         raise ValueError(f"z must have shape ({n_z},) or (p, {n_z})")
     zs = z.reshape(-1, n_z)
     p = len(zs)
-    lattice = cfg.start_points
-    n_x = lattice.shape[1]
-    starts = np.broadcast_to(lattice, (p,) + lattice.shape)
+    n_x = cfg.box.dim
+    starts = np.broadcast_to(cfg.start_points, (p,) + cfg.start_points.shape)
+    if warm is None and not lattice:
+        raise ValueError("an inversion without the lattice needs a warm start")
     if warm is not None:
         warm = np.asarray(warm, dtype=float)
         if warm.shape != z.shape[:-1] + (n_x,):
             raise ValueError(f"warm must have shape {z.shape[:-1] + (n_x,)}, got {warm.shape}")
-        starts = np.concatenate([warm.reshape(p, 1, n_x), starts], axis=1)
+        warm = warm.reshape(p, 1, n_x)
+        starts = np.concatenate([warm, starts], axis=1) if lattice else warm
     xs, rs = _gauss_newton(t, zs, starts, cfg)
     rows = np.arange(p), _best_start(xs, rs)
     if z.ndim == 1:
@@ -523,8 +545,9 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
       accepted step moves it by rounding only.
 
     ``x``, ``res`` and ``f`` hold every start's point, residual and sum of
-    squares; an iteration gathers the rows of the active indices ``act`` and
-    writes back the starts that moved. The Jacobian is exact in polynomial
+    squares; ``xa``, ``ra``, ``fa`` and ``za`` hold the rows of the active
+    starts, whose indices are ``act``, and lose a start's row when it
+    leaves; the starts that moved are written back. The Jacobian is exact in polynomial
     mode (``jacobian_poly``) and a forward difference in series mode. While
     a start is in the batch its iterates do not depend on the other starts,
     and whether it stays depends only on the starts of its own target, so
@@ -538,16 +561,20 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
     n_z = z.shape[1]
     x = cfg.box.clamp(starts.reshape(-1, n_x))
     act = np.arange(len(x))
-    res = eval_T(t, x) - z[act // n_per]
+    za = z[act // n_per]
+    res = eval_T(t, x) - za
     f = (res * res).sum(axis=1)
+    xa, ra, fa = x.copy(), res.copy(), f.copy()
     damping = 1e-12 * np.eye(n_x)
     for _ in range(_MAX_ITERS):
         # a start that meets its target leaves before its Jacobian
-        act = act[np.abs(res[act]).max(axis=1) > _TOL]
+        stay = np.abs(ra).max(axis=1) > _TOL
+        if not stay.all():
+            act, xa, ra, fa, za = act[stay], xa[stay], ra[stay], fa[stay], za[stay]
         if not act.size:
             break
-        xa, ra, fa, za = x[act], res[act], f[act], z[act // n_per]
-        bound = n_z * f.reshape(p, n_per).min(axis=1)[act // n_per]
+        # a lone start per target is its own best
+        bound = n_z * (fa if n_per == 1 else f.reshape(p, n_per).min(axis=1)[act // n_per])
         jac = _jacobian(t, xa, ra, za)
         jtj = np.einsum("sri,srj->sij", jac, jac) + damping
         grad = np.einsum("sri,sr->si", jac, ra)
@@ -555,9 +582,10 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         lin = ra + np.einsum("sri,si->sr", jac, direction)
         model = (lin * lin).sum(axis=1)
         keep = ((fa <= bound) | (model <= bound)) & (fa - model > _STOP_DECREASE * fa)
-        act, xa, fa, za, direction = act[keep], xa[keep], fa[keep], za[keep], direction[keep]
-        if not act.size:
-            break
+        if not keep.all():
+            act, xa, fa, za, direction = act[keep], xa[keep], fa[keep], za[keep], direction[keep]
+            if not act.size:
+                break
 
         # whole backtracking ladder in one batched evaluation per iteration;
         # a start takes its first improving step
@@ -565,14 +593,18 @@ def _gauss_newton(t: KklTransform, z: np.ndarray, starts: np.ndarray,
         res_t = eval_T(t, trials.reshape(-1, n_x)).reshape(len(_LS_ALPHAS), len(act), -1) - za
         f_t = (res_t * res_t).sum(axis=2)
         improving = f_t < fa
-        moved = np.flatnonzero(improving.any(axis=0))
-        pick = improving[:, moved].argmax(axis=0), moved
-        act, x_new = act[moved], trials[pick]
-        x[act], res[act], f[act] = x_new, res_t[pick], f_t[pick]
+        moved = improving.any(axis=0)
+        if not moved.all():
+            act, xa, za, improving = act[moved], xa[moved], za[moved], improving[:, moved]
+        pick = improving.argmax(axis=0), np.flatnonzero(moved)
+        x_new, ra, fa = trials[pick], res_t[pick], f_t[pick]
+        x[act], res[act], f[act] = x_new, ra, fa
         # a start without an improving step, or one that moves by rounding
         # only, has stalled
-        act = act[np.abs(x_new - xa[moved]).max(axis=1)
-                  > 1e-15 * (1.0 + np.abs(x_new).max(axis=1))]
+        going = np.abs(x_new - xa).max(axis=1) > 1e-15 * (1.0 + np.abs(x_new).max(axis=1))
+        xa = x_new
+        if not going.all():
+            act, xa, ra, fa, za = act[going], xa[going], ra[going], fa[going], za[going]
     resid = np.abs(res).max(axis=1)
     return x.reshape(p, n_per, n_x), resid.reshape(p, n_per)
 

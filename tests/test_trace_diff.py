@@ -38,10 +38,26 @@ def test_trace_diff_sizes(tool, tmp_path, capsys):
     assert d["max_abs_z_bounds"] == 0.0
     assert d["max_rel_resid"] == pytest.approx(1.0 / 3.0)
     assert d["width_x_median"] == (1.0, 1.0000003)
+    assert d["informative_frac"] == (1.0, 1.0)
     assert tool.main([a, b]) == 1
     out = capsys.readouterr().out
     assert "rows that differ: 2 of 3 (k = 1, 2)" in out
     assert "width_x median: 1 (A)  1.0000003 (B)" in out
+    assert "informative fraction (width_x < 4): 1 (A)  1 (B)" in out
+
+
+def test_trace_diff_informative_fraction(tool, tmp_path, capsys):
+    # rows at or above the invariant box width of 4 carry no information;
+    # the threshold is strict
+    rows_b = [ROWS_A[0], "1,-0.5,0.5,-1,1,1e-09,2e-09,4", "2,-0.25,0.25,-0.5,0.5,4e-09,0,381.5"]
+    rows_c = [ROWS_A[0], "1,-0.5,0.5,-1,1,1e-09,2e-09,3.9999999", ROWS_A[2]]
+    a = _write(tmp_path / "a.csv", ROWS_A)
+    b = _write(tmp_path / "b.csv", rows_b)
+    c = _write(tmp_path / "c.csv", rows_c)
+    assert tool.trace_diff(b, a)["informative_frac"] == (pytest.approx(1 / 3), 1.0)
+    assert tool.trace_diff(c, b)["informative_frac"] == (1.0, pytest.approx(1 / 3))
+    assert tool.main([b, a]) == 1
+    assert "informative fraction (width_x < 4): 0.333333 (A)  1 (B)" in capsys.readouterr().out
 
 
 def test_trace_diff_equal_and_incomparable(tool, tmp_path, capsys):
