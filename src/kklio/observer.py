@@ -15,17 +15,21 @@ State-space bounds come from the unframed bounds ``[z]`` in one of two ways:
 
 * set inversion, when the transform's Jacobian is affine (polynomial mode
   with a basis of degree at most 2; ``setinv``): the returned box is the
-  hull of every state of a prior box whose image lies in ``[z]``, found by
-  bisection and contracted by Krawczyk. The prior is ``f([x_k]) + [d]``,
-  which ``step`` computes from the previous bounds when the plant declares
-  linear dynamics (``PlantModel.f_linear``), intersected with the enlarged
-  box; without one it is the enlarged box. The box needs no residual slack,
-  so the state reports residuals of 0.0. A state set that comes out empty
-  means a broken assumption (noise or disturbance outside its declared
-  bounds, or the state outside the enlarged box) and raises
-  ``EmptyRecoveryError``; recovery never falls back to a wider box. The
-  paper's box (next item) is still computed, from one Gauss-Newton start
-  per bound at the hull's centre, and kept on the state as a diagnostic.
+  hull of every state of a prior set whose image lies in ``[z]``, found by
+  bisection and contracted by Krawczyk. The prior is ``f(X_k) + [d]``,
+  which ``step`` computes when the plant declares linear dynamics
+  (``PlantModel.f_linear``), intersected with the enlarged box; without one
+  it is the enlarged box. ``X_k`` is the union of the boxes the last
+  recovery kept (the initial box at ``k = 0``), so the prior follows the
+  set of states consistent with every bound so far, not its hull: one
+  step's bounds are often met on several branches of states far apart.
+  The box needs no residual slack, so the state reports residuals of 0.0.
+  A state set that comes out empty means a broken assumption (noise or
+  disturbance outside its declared bounds, or the state outside the
+  enlarged box) and raises ``EmptyRecoveryError``; recovery never falls
+  back to a wider box. The paper's box (next item) is still computed, from
+  one Gauss-Newton start per bound at the hull's centre, and kept on the
+  state as a diagnostic.
 * the paper's recovery otherwise (series mode): both bound vectors are
   inverted numerically, ``u = T*(z+)`` and ``v = T*(z-)``, and the bounds
   are ``[max(u, v) - margin, min(u, v) + margin]`` with the inverse-Lipschitz
@@ -125,9 +129,12 @@ class ObserverState:
     warm-start the next recovery in series mode); ``resid_hi``/``resid_lo``
     are the residual slack the returned box needs: the inversion residuals
     of the paper's recovery, 0.0 for set inversion and at ``k = 0``, where
-    the bounds are the initial box. With set inversion, ``prior_lo``/
-    ``prior_hi`` are the prior ``step`` computed (``None`` without one), and
-    ``paper_lo``/``paper_hi`` the paper's box, kept as a diagnostic.
+    the bounds are the initial box. With set inversion, ``x_boxes`` holds the
+    boxes of the state set that recovery kept, ``prior_boxes`` the boxes
+    ``step`` mapped them to (both ``(lo, hi)`` pairs of ``(boxes, n_x)``
+    arrays, or ``None``), ``prior_lo``/``prior_hi`` the image of the state
+    bounds, which holds them, and ``paper_lo``/``paper_hi`` the paper's box,
+    kept as a diagnostic.
     """
 
     k: int
@@ -145,6 +152,8 @@ class ObserverState:
     prior_hi: Optional[np.ndarray] = None
     paper_lo: Optional[np.ndarray] = None
     paper_hi: Optional[np.ndarray] = None
+    x_boxes: Optional[tuple] = None
+    prior_boxes: Optional[tuple] = None
 
 
 def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
@@ -185,8 +194,10 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
 
     With set-inversion recovery and linear dynamics (``PlantModel.f_linear``),
     it also maps the state bounds at ``k``, when they are finite, through the
-    dynamics and adds the disturbance bounds: the exact prior of the next
-    recovery, padded by the rounding bound. Raises ``ValueError`` on a NaN or
+    dynamics and adds the disturbance bounds: the prior box of the next
+    recovery, padded by the rounding bound. It maps the boxes of the state
+    set (``x_boxes``), when there are any, the same way: their union, inside
+    that box, is the prior. Raises ``ValueError`` on a NaN or
     infinite input, on unordered bounds, and on inputs not of shape
     ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
     """
@@ -217,19 +228,30 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
             zhat_hi = zhat_hi + widen_hi
             zhat_lo = zhat_lo + widen_lo
 
-    prior_lo = prior_hi = None
+    prior_lo = prior_hi = prior_boxes = None
     if cfg.enclosure is not None and plant.f_linear is not None and _bounded(state):
-        prior_lo, prior_hi = interval_image(plant.f_linear, state.x_lo, state.x_hi)
-        if disturbed:
-            prior_lo, prior_hi = prior_lo + d_lo, prior_hi + d_hi
-        pad = _PAD_REL * (1.0 + np.maximum(np.abs(prior_lo), np.abs(prior_hi)))
-        prior_lo, prior_hi = prior_lo - pad, prior_hi + pad
+        d = (d_lo, d_hi) if disturbed else None
+        prior_lo, prior_hi = _image(plant.f_linear, state.x_lo[None], state.x_hi[None], d)
+        prior_lo, prior_hi = prior_lo[0], prior_hi[0]
+        if state.x_boxes is not None:
+            prior_boxes = _image(plant.f_linear, *state.x_boxes, d)
 
     z_lo, z_hi = interval_image(cfg.coord.S(state.k + 1), zhat_lo, zhat_hi)
     return ObserverState(k=state.k + 1, zhat_hi=zhat_hi, zhat_lo=zhat_lo,
                          z_hi=z_hi, z_lo=z_lo,
                          inv_hi=state.inv_hi, inv_lo=state.inv_lo,
-                         prior_lo=prior_lo, prior_hi=prior_hi)
+                         prior_lo=prior_lo, prior_hi=prior_hi, prior_boxes=prior_boxes)
+
+
+def _image(m, lo, hi, d):
+    """The boxes ``m [lo, hi] + [d]`` (rows), padded by the rounding bound;
+    ``d`` is ``(d_lo, d_hi)``, or ``None`` without a disturbance."""
+    p, n = np.maximum(m, 0.0), np.maximum(-m, 0.0)
+    out_lo, out_hi = lo @ p.T - hi @ n.T, hi @ p.T - lo @ n.T
+    if d is not None:
+        out_lo, out_hi = out_lo + d[0], out_hi + d[1]
+    pad = _PAD_REL * (1.0 + np.maximum(np.abs(out_lo), np.abs(out_hi)))
+    return out_lo - pad, out_hi + pad
 
 
 def _bounded(state: ObserverState) -> bool:
@@ -274,16 +296,16 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
         lo, hi = np.maximum(lo, state.prior_lo), np.minimum(hi, state.prior_hi)
     found = None
     if np.all(lo <= hi):
-        found = set_invert(cfg.enclosure, state.z_lo, state.z_hi, lo, hi)
+        found = set_invert(cfg.enclosure, state.z_lo, state.z_hi, lo, hi, state.prior_boxes)
     if found is None:
         raise EmptyRecoveryError(state.k)
-    x_lo, x_hi, _ = found
+    x_lo, x_hi, _, kept = found
     centre = 0.5 * (x_lo + x_hi)
     (paper_lo, paper_hi), u, v, _ = _paper_box(state, cfg, np.stack([centre, centre]),
                                                lattice=False)
     return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
                    resid_hi=0.0, resid_lo=0.0,
-                   paper_lo=paper_lo, paper_hi=paper_hi)
+                   paper_lo=paper_lo, paper_hi=paper_hi, x_boxes=kept)
 
 
 def _paper_box(state: ObserverState, cfg: ObserverConfig, warm, lattice: bool):

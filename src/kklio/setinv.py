@@ -26,6 +26,19 @@ split, and the undecided boxes on the hull's faces face a sharper test
 (``QuadraticEnclosure.consistent2``) that drops boxes whose image only
 passes close to ``[z]``.
 
+Prior sets. The prior may be a union of boxes inside the prior box: the
+image through the dynamics of the boxes the last recovery kept, plus the
+disturbance (Kieffer, Jaulin & Walter, *Int. J. Adapt. Control Signal
+Process.* 16(3), 2002). One step's bounds ``[z]`` are often met by states on
+several branches far apart, of which the history rules out all but one, so
+the states of the union whose image lies in ``[z]`` have a much smaller hull
+than those of the box. ``PriorGrid`` holds the union as the cells of a
+regular grid over the box that meet one of its boxes, an outer
+approximation; bisection drops the boxes that meet no such cell, and counts
+a box as holding only solutions only when every cell it meets is one. Every
+box the bisection keeps, split or not, is returned with the hull, clipped to
+it, so that the next step can map them.
+
 Krawczyk (*Computing* 4, 1969). On the hull ``X`` with centre ``c``, with
 ``C = pinv(J(c))`` and the Newton point ``u = c - C (T(c) - mid[z])``, every
 ``x`` of ``X`` with ``T(x)`` in ``[z]`` satisfies, by the exact mean-value
@@ -49,6 +62,7 @@ certified only up to it.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -57,11 +71,15 @@ from .intervals import Box, interval_image
 
 # bisection stops at boxes whose widest side is at most _EPS, and at
 # _MAX_BOXES boxes per recovery; Krawczyk runs at most _KRAWCZYK_SWEEPS
-# sweeps; bounds are widened by _PAD_REL times the magnitude of their terms
+# sweeps; bounds are widened by _PAD_REL times the magnitude of their terms;
+# a prior grid has at most _GRID_CELLS cells, and its cell indices are
+# widened by _INDEX_SLACK of a cell
 _EPS = 0.01
 _MAX_BOXES = 4096
 _KRAWCZYK_SWEEPS = 4
 _PAD_REL = 1e-12
+_GRID_CELLS = 128 * 128
+_INDEX_SLACK = 1e-6
 
 
 class QuadraticEnclosure:
@@ -162,21 +180,83 @@ class QuadraticEnclosure:
         return np.all(np.abs((proj @ off2[:, :, None])[:, :, 0]) <= bound2, axis=1)
 
 
-def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi):
+class PriorGrid:
+    """A union of boxes, held as the cells of a regular grid over the box
+    ``[lo, hi]`` that meet one of them: an outer approximation of the union's
+    part in ``[lo, hi]``.
+
+    The union's boxes are the rows of ``box_lo`` and ``box_hi``. The grid has
+    the same number of cells along each axis, at most ``_GRID_CELLS`` in all.
+    ``count`` tells, per box, how many marked cells and how many cells it
+    meets. Cell indices are widened by ``_INDEX_SLACK`` of a cell on both
+    sides, so that a box and a union box that share a point share a marked
+    cell despite the rounding of the indices.
+    """
+
+    def __init__(self, lo, hi, box_lo, box_hi):
+        n = len(lo)
+        per_axis = int(_GRID_CELLS ** (1.0 / n) + 1e-9)
+        width = hi - lo
+        self.lo, self.top = lo, per_axis - 1
+        self.scale = np.where(width > 0.0, per_axis / np.where(width > 0.0, width, 1.0), 0.0)
+        # arrays of (per_axis + 1)^n entries are held flat: a cell range
+        # [i0, i1] has 2^n corners, each taking i0 or i1 + 1 along each axis
+        side = per_axis + 1
+        strides = side ** np.arange(n - 1, -1, -1)
+        bits = np.array(list(itertools.product((0, 1), repeat=n)))
+        self._lo_strides, self._hi_strides = ((1 - bits) * strides).T, (bits * strides).T
+        parity = bits.sum(axis=1)
+        self._signs = (-1.0) ** (n - parity)
+        # mark the cells of every box as a difference array, then sum it up
+        meets = np.all((box_hi >= lo) & (box_lo <= hi), axis=1)
+        corners = self._corners(*self._cells(box_lo[meets], box_hi[meets]))
+        weights = np.broadcast_to((-1.0) ** parity, corners.shape)
+        marks = np.bincount(corners.ravel(), weights.ravel(), side ** n).reshape((side,) * n)
+        for axis in range(n):
+            marks = np.cumsum(marks, axis=axis)
+        # prefix sums of the marked cells, with a leading zero along every axis
+        table = np.zeros((side,) * n)
+        table[(slice(1, None),) * n] = marks[(slice(0, -1),) * n] > 0.5
+        for axis in range(n):
+            table = np.cumsum(table, axis=axis)
+        self._table = table.reshape(-1)
+
+    def _cells(self, a, b):
+        i0 = np.floor((a - self.lo) * self.scale - _INDEX_SLACK)
+        i1 = np.floor((b - self.lo) * self.scale + _INDEX_SLACK)
+        top = self.top
+        return (np.minimum(np.maximum(i0, 0), top).astype(np.intp),
+                np.minimum(np.maximum(i1, 0), top).astype(np.intp))
+
+    def _corners(self, i0, i1):
+        return i0 @ self._lo_strides + (i1 + 1) @ self._hi_strides
+
+    def count(self, c, r) -> tuple[np.ndarray, np.ndarray]:
+        """Marked cells and all cells met by each box ``c +- r`` (rows of ``c``)."""
+        i0, i1 = self._cells(c - r, c + r)
+        return self._table[self._corners(i0, i1)] @ self._signs, np.prod(i1 - i0 + 1, axis=1)
+
+
+def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     """Hull of the states of the box ``[lo, hi]`` whose image lies in ``[z_lo, z_hi]``.
 
+    ``prior``, when given, is a union of boxes ``(box_lo, box_hi)`` (rows)
+    and only the states in it count (``PriorGrid`` over ``[lo, hi]``).
     Bisection, then Krawczyk on its hull (see the module docstring).
-    Returns ``(x_lo, x_hi, boxes)`` with ``boxes`` the number of boxes the
-    bisection enclosed, or ``None`` when no state of the box can map into
-    ``[z]``.
+    Returns ``(x_lo, x_hi, boxes, kept)`` with ``boxes`` the number of boxes
+    the bisection enclosed and ``kept`` the boxes it kept, clipped to the
+    hull, as ``(box_lo, box_hi)``; or ``None`` when no state of the box can
+    map into ``[z]``.
     """
     z_lo = np.asarray(z_lo, dtype=float)
     z_hi = np.asarray(z_hi, dtype=float)
     z_lo, z_hi = z_lo - _PAD_REL * (1.0 + np.abs(z_lo)), z_hi + _PAD_REL * (1.0 + np.abs(z_hi))
-    hull = _bisect(enc, z_lo, z_hi, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if hull is None:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    grid = None if prior is None else PriorGrid(lo, hi, *prior)
+    found = _bisect(enc, z_lo, z_hi, lo, hi, grid)
+    if found is None:
         return None
-    lo, hi, boxes = hull
+    lo, hi, boxes, kept = found
     for _ in range(_KRAWCZYK_SWEEPS):
         new = _krawczyk(enc, z_lo, z_hi, lo, hi)
         if new is None:
@@ -185,19 +265,28 @@ def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi):
         lo, hi = new
         if not shrunk:
             break
-    return lo, hi, boxes
+    c = np.concatenate([c for c, _r in kept])
+    r = np.concatenate([np.broadcast_to(r, c.shape) for c, r in kept])
+    box_lo, box_hi = c - r, c + r
+    box_lo = np.maximum(lo, box_lo - _PAD_REL * (1.0 + np.abs(box_lo)))
+    box_hi = np.minimum(hi, box_hi + _PAD_REL * (1.0 + np.abs(box_hi)))
+    meets = np.all(box_lo <= box_hi, axis=1)
+    return lo, hi, boxes, (box_lo[meets], box_hi[meets])
 
 
-def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi):
-    """Bisection from ``[lo, hi]``: the hull of the kept boxes and the box count.
+def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid=None):
+    """Bisection from ``[lo, hi]``: the hull of the kept boxes, the box count
+    and the kept boxes, as ``(centres, radius)`` groups.
 
     The boxes of one level all have the same radius ``r``, since each level
     halves every box along the same, widest, axis; they are held as their
-    centres. A box whose enclosure lies inside ``[z]`` holds only solutions,
-    so the hull of those boxes is part of the result, and a box inside that
-    hull needs no splitting: it is dropped. The rounding of the centres is
-    within the enclosure's pad, and the hull is padded for it. The tests
-    compare doubled quantities (``QuadraticEnclosure.image2``).
+    centres. With a ``grid``, boxes that meet none of its marked cells are
+    dropped first. A box whose enclosure lies inside ``[z]`` (and, with a
+    grid, that meets marked cells only) holds only solutions, so the hull of
+    those boxes is part of the result, and a box inside that hull needs no
+    splitting: it is kept as it is. The rounding of the centres is within the
+    enclosure's pad, and the hull is padded for it. The tests compare doubled
+    quantities (``QuadraticEnclosure.image2``).
     """
     z_c2, z_r2 = z_lo + z_hi - 2.0 * enc.t0, z_hi - z_lo
     c, r = (0.5 * (lo + hi))[None], 0.5 * (hi - lo)
@@ -205,18 +294,24 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi):
     inner_lo, inner_hi = np.full_like(r, np.inf), np.full_like(r, -np.inf)
     boxes = 0
     while True:
+        full = True
+        if grid is not None:
+            marked, cells = grid.count(c, r)
+            meets = marked > 0.5
+            c, full = c[meets], (marked > cells - 0.5)[meets]
         boxes += len(c)
         tc2, rad2 = enc.image2(c, r)
         gap2 = np.abs(tc2 - z_c2)
-        inside = np.all(gap2 + rad2 <= z_r2, axis=1)
+        inside = np.all(gap2 + rad2 <= z_r2, axis=1) & full
         split = np.all(gap2 <= rad2 + z_r2, axis=1)
         if inside.any():
             c_in = c[inside]
-            kept.append((c_in, r))
             inner_lo = np.minimum(inner_lo, c_in.min(axis=0) - r)
             inner_hi = np.maximum(inner_hi, c_in.max(axis=0) + r)
-            # inside boxes fall within the inner hull, so this drops them too
-            split &= ~np.all((c >= inner_lo + r) & (c <= inner_hi - r), axis=1)
+            within = np.all((c >= inner_lo + r) & (c <= inner_hi - r), axis=1)
+            keep = inside | (split & within)
+            kept.append((c[keep], r))
+            split &= ~keep
         c = c[split]
         n = len(c)
         if not n:
@@ -238,7 +333,7 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi):
     hull_hi = np.max([c.max(axis=0) + r for c, r in kept], axis=0)
     hull_lo = np.maximum(lo, hull_lo - _PAD_REL * (1.0 + np.abs(hull_lo)))
     hull_hi = np.minimum(hi, hull_hi + _PAD_REL * (1.0 + np.abs(hull_hi)))
-    return hull_lo, hull_hi, boxes
+    return hull_lo, hull_hi, boxes, kept
 
 
 def _peel(enc: QuadraticEnclosure, c, r, z_c2, z_r2, inner_lo, inner_hi):

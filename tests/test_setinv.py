@@ -15,7 +15,7 @@ from kklio import harness
 from kklio.cli import main
 from kklio.harness import CHECK_SLACK
 from kklio.presets import build_oscillator, siE_disturbance, siE_noise
-from kklio.setinv import QuadraticEnclosure, set_invert
+from kklio.setinv import PriorGrid, QuadraticEnclosure, set_invert
 from kklio.transform import _gauss_newton, jacobian_poly
 
 
@@ -71,12 +71,69 @@ def test_set_invert_keeps_every_preimage(osc, point, z_half, prior_half, seed):
     hi = x + prior_half * rng.uniform(0.0, 1.0, 2)
     found = set_invert(enc, z_lo, z_hi, lo, hi)
     assert found is not None
-    x_lo, x_hi, boxes = found
+    x_lo, x_hi, boxes, (box_lo, box_hi) = found
     pts = np.vstack([x, rng.uniform(lo, hi, (4000, 2))])
     tz = eval_T(osc.transform, pts)
     sol = pts[np.all((tz >= z_lo) & (tz <= z_hi), axis=1)]
     assert np.all(x_lo <= sol) and np.all(sol <= x_hi)
     assert np.all(lo <= x_lo) and np.all(x_hi <= hi) and 1 <= boxes <= 4096
+    # the kept boxes cover every solution and lie in the hull
+    assert all(_in_boxes(sol, box_lo, box_hi))
+    assert np.all(x_lo <= box_lo) and np.all(box_hi <= x_hi)
+
+
+def _in_boxes(pts, box_lo, box_hi):
+    return np.any(np.all((pts[:, None] >= box_lo) & (pts[:, None] <= box_hi), axis=2), axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       st.floats(0.0, 0.3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_set_invert_in_a_prior_union_keeps_every_preimage(osc, point, z_half, n_boxes, seed):
+    # the prior is a union of boxes, one around the point [z] is built
+    # around: every solution in the union stays in the hull and in a kept box
+    enc = osc.observer_cfg.enclosure
+    x = np.array(point)
+    rng = np.random.default_rng(seed)
+    z = eval_T(osc.transform, x)
+    z_lo = z - z_half * rng.uniform(0.0, 1.0, 4)
+    z_hi = z + z_half * rng.uniform(0.0, 1.0, 4)
+    centres = np.vstack([x, rng.uniform(-2.0, 2.0, (n_boxes - 1, 2))])
+    radii = rng.uniform(0.0, 0.6, (n_boxes, 2))
+    prior = centres - radii, centres + radii
+    lo, hi = prior[0].min(axis=0), prior[1].max(axis=0)
+    found = set_invert(enc, z_lo, z_hi, lo, hi, prior)
+    assert found is not None
+    x_lo, x_hi, _, (box_lo, box_hi) = found
+    pts = np.vstack([x, rng.uniform(lo, hi, (6000, 2))])
+    pts = pts[_in_boxes(pts, *prior)]
+    tz = eval_T(osc.transform, pts)
+    sol = pts[np.all((tz >= z_lo) & (tz <= z_hi), axis=1)]
+    assert np.all(x_lo <= sol) and np.all(sol <= x_hi)
+    assert all(_in_boxes(sol, box_lo, box_hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+def test_prior_grid_counts_every_box_that_meets_the_union(n_boxes, seed):
+    # a box that shares a point with a union box meets a marked cell; one
+    # whose cells are all marked lies in the union's cells
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([-1.0, -0.5]), np.array([2.0, 0.5])
+    c = rng.uniform(lo, hi, (n_boxes, 2))
+    r = rng.uniform(0.0, 0.2, (n_boxes, 2)) * rng.integers(0, 2, (n_boxes, 2))
+    grid = PriorGrid(lo, hi, c - r, c + r)
+    q_c = rng.uniform(lo, hi, (500, 2))
+    q_r = rng.uniform(0.0, 0.3, 2)
+    marked, cells = grid.count(q_c, q_r)
+    meets = np.any(np.all((np.abs(q_c[:, None] - c) <= q_r + r), axis=2), axis=1)
+    assert np.all(marked[meets] > 0.5)
+    assert np.all(marked <= cells + 1e-9) and np.all(marked >= -1e-9)
+    # union boxes meet themselves, and the whole grid holds all of them
+    marked_self, _ = grid.count(c, r)
+    assert np.all(marked_self > 0.5)
+    whole, all_cells = grid.count(((lo + hi) / 2)[None], (hi - lo) / 2)
+    assert all_cells[0] == 128 * 128 and 0.5 < whole[0] <= all_cells[0]
 
 
 # [z] around T(x), widened by z_half times the fractions below and above,
@@ -102,7 +159,7 @@ def test_contraction_keeps_every_sampled_solution(osc, case):
     z = eval_T(osc.transform, x)
     z_lo, z_hi = z - z_half * z_below, z + z_half * z_above
     lo, hi = x - prior_half * below, x + prior_half * above
-    x_lo, x_hi, _ = set_invert(osc.observer_cfg.enclosure, z_lo, z_hi, lo, hi)
+    x_lo, x_hi, _, _ = set_invert(osc.observer_cfg.enclosure, z_lo, z_hi, lo, hi)
     pts = np.random.default_rng(0).uniform(lo, hi, (40000, 2))
     tz = eval_T(osc.transform, pts)
     sol = pts[np.all((tz >= z_lo) & (tz <= z_hi), axis=1)]
@@ -121,7 +178,7 @@ def test_krawczyk_contracts_a_point_target(osc):
     enc = osc.observer_cfg.enclosure
     x = np.array([0.8, -0.3])
     z = eval_T(osc.transform, x)
-    x_lo, x_hi, boxes = set_invert(enc, z, z, x - 0.004, x + 0.004)
+    x_lo, x_hi, boxes, _ = set_invert(enc, z, z, x - 0.004, x + 0.004)
     assert boxes == 1 and np.max(x_hi - x_lo) < 1e-9
     assert np.all(x_lo <= x) and np.all(x <= x_hi)
 
@@ -158,6 +215,18 @@ def test_step_carries_the_prior(osc):
     assert np.all(nxt.prior_lo <= images.min(axis=0) - d)
     assert np.all(nxt.prior_hi >= images.max(axis=0) + d)
     np.testing.assert_allclose(nxt.prior_lo, images.min(axis=0) - d, atol=1e-11)
+    assert nxt.prior_boxes is None
+    # the boxes of the state set map box by box, inside the image of the bounds
+    box_lo = np.array([[0.5, -0.5], [1.0, 0.0]])
+    box_hi = np.array([[0.8, 0.0], [1.5, 0.5]])
+    kept = replace(state, x_boxes=(box_lo, box_hi))
+    nxt = step(kept, cfg, np.array([0.3]), np.array([-0.1]), np.array([0.1]), d_lo=-d, d_hi=d)
+    for lo, hi, m_lo, m_hi in zip(box_lo, box_hi, *nxt.prior_boxes):
+        images = osc.plant.f(np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]],
+                                       [hi[0], hi[1]]]))
+        np.testing.assert_allclose(m_lo, images.min(axis=0) - d, atol=1e-11)
+        np.testing.assert_allclose(m_hi, images.max(axis=0) + d, atol=1e-11)
+        assert np.all(nxt.prior_lo <= m_lo) and np.all(m_hi <= nxt.prior_hi)
     # a state without finite state bounds gives no prior
     for x_lo in (None, np.array([np.nan, 0.0]), np.array([-np.inf, 0.0])):
         bare = replace(state, x_lo=x_lo)
