@@ -210,8 +210,8 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int],
     k_lo, k_hi = cfg.window
     in_window = [r.width_x for r in rows if k_lo <= r.k <= k_hi]
     if not in_window:
-        # window misses the run entirely: fall back to its second half
-        k_lo, k_hi = cfg.steps // 2, cfg.steps
+        # window misses the rows (an empty set may end them early): use their second half
+        k_lo, k_hi = rows[-1].k // 2, rows[-1].k
         in_window = [r.width_x for r in rows if k_lo <= r.k <= k_hi]
     mean_width = float(np.mean(in_window))
 

@@ -27,17 +27,19 @@ def interval_image(m, a_lo, a_hi) -> tuple[np.ndarray, np.ndarray]:
     """Guaranteed image of the box ``[a_lo, a_hi]`` under the linear map ``m``.
 
     Returns ``(lo, hi)`` such that ``lo <= m @ a <= hi`` componentwise for
-    every ``a`` with ``a_lo <= a <= a_hi``.
+    every ``a`` with ``a_lo <= a <= a_hi``. Corners of shape ``(s, n)`` hold
+    one box per row, and their images are rows too, ``a @ split.T``.
     """
     m = np.asarray(m, dtype=float)
     a_lo = np.asarray(a_lo, dtype=float)
     a_hi = np.asarray(a_hi, dtype=float)
-    if m.ndim != 2 or a_lo.shape != (m.shape[1],) or a_hi.shape != (m.shape[1],):
-        raise ValueError(
-            f"shape mismatch: m is {m.shape}, a_lo is {a_lo.shape}, a_hi is {a_hi.shape}"
-        )
+    if m.ndim != 2 or a_lo.shape != a_hi.shape or a_lo.ndim > 2 or a_lo.shape[-1:] != m.shape[1:]:
+        raise ValueError(f"shape mismatch: m is {m.shape}, a_lo is {a_lo.shape}, "
+                         f"a_hi is {a_hi.shape}")
     p = split_pos(m)
     n = split_neg(m)
+    if a_lo.ndim == 2:
+        return a_lo @ p.T - a_hi @ n.T, a_hi @ p.T - a_lo @ n.T
     return p @ a_lo - n @ a_hi, p @ a_hi - n @ a_lo
 
 

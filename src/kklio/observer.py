@@ -17,13 +17,13 @@ State-space bounds come from the unframed bounds ``[z]`` in one of two ways:
   with a basis of degree at most 2; ``setinv``): the returned box is the
   hull of every state of a prior set whose image lies in ``[z]``, found by
   bisection and contracted by Krawczyk. The prior is ``f(X_k) + [d]``,
-  which ``step`` computes when the plant declares linear dynamics
-  (``PlantModel.f_linear``), intersected with the enlarged box; without one
-  it is the enlarged box. ``X_k`` is the union of the boxes the last
-  recovery kept (the initial box at ``k = 0``), so the prior follows the
-  set of states consistent with every bound so far, not its hull: one
-  step's bounds are often met on several branches of states far apart.
-  The box needs no residual slack, so the state reports residuals of 0.0.
+  which ``step`` builds (``setinv.dynamic_prior``) when the plant's
+  dynamics are linear (``PlantModel.f_linear``), intersected with the
+  enlarged box; without it, it is the enlarged box. ``X_k`` is the set of
+  states consistent with every bound so far, as the boxes the last recovery
+  kept (the initial box at ``k = 0``), not their hull: one step's bounds
+  are often met on several branches of states far apart. The box needs no
+  residual slack, so the state reports residuals of 0.0.
   A state set that comes out empty means a broken assumption (noise or
   disturbance outside its declared bounds, or the state outside the
   enlarged box) and raises ``EmptyRecoveryError``; recovery never falls
@@ -39,9 +39,9 @@ State-space bounds come from the unframed bounds ``[z]`` in one of two ways:
   state reports the inversion residuals, which the harness turns into a
   slack.
 
-Rounding is not yet outward anywhere: set inversion widens its bounds by a
-stated rounding bound (``setinv._PAD_REL``), and the propagation rounds to
-nearest.
+Rounding is not yet outward anywhere: set inversion and its prior widen
+their bounds by a stated rounding bound (see ``setinv``), and the
+propagation rounds to nearest.
 
 States are immutable values; ``step`` and the recovery operations return new
 states, so independent observers can run concurrently.
@@ -56,7 +56,7 @@ import numpy as np
 
 from .coords import CoordChangeSeq
 from .intervals import Box, inf_norm, interval_image
-from .setinv import _PAD_REL, QuadraticEnclosure, set_invert
+from .setinv import QuadraticEnclosure, dynamic_prior, set_invert
 from .transform import InverseConfig, KklTransform, SystemConstants, eval_T, invert_T
 
 
@@ -129,12 +129,11 @@ class ObserverState:
     warm-start the next recovery in series mode); ``resid_hi``/``resid_lo``
     are the residual slack the returned box needs: the inversion residuals
     of the paper's recovery, 0.0 for set inversion and at ``k = 0``, where
-    the bounds are the initial box. With set inversion, ``x_boxes`` holds the
-    boxes of the state set that recovery kept, ``prior_boxes`` the boxes
-    ``step`` mapped them to (both ``(lo, hi)`` pairs of ``(boxes, n_x)``
-    arrays, or ``None``), ``prior_lo``/``prior_hi`` the image of the state
-    bounds, which holds them, and ``paper_lo``/``paper_hi`` the paper's box,
-    kept as a diagnostic.
+    the bounds are the initial box. ``x_boxes`` holds the state set's boxes,
+    a ``(lo, hi)`` pair of ``(boxes, n_x)`` arrays: the initial box, then
+    those set inversion kept, which ``step`` maps to ``prior``
+    (``setinv.dynamic_prior``). ``paper_lo``/``paper_hi`` is the paper's box,
+    kept as a diagnostic with set inversion.
     """
 
     k: int
@@ -148,12 +147,10 @@ class ObserverState:
     inv_lo: Optional[np.ndarray] = None
     resid_hi: float = 0.0
     resid_lo: float = 0.0
-    prior_lo: Optional[np.ndarray] = None
-    prior_hi: Optional[np.ndarray] = None
     paper_lo: Optional[np.ndarray] = None
     paper_hi: Optional[np.ndarray] = None
     x_boxes: Optional[tuple] = None
-    prior_boxes: Optional[tuple] = None
+    prior: Optional[tuple] = None
 
 
 def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
@@ -185,7 +182,8 @@ def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
     zhat_lo, zhat_hi = interval_image(cfg.coord.R(0), z_lo, z_hi)
     return ObserverState(k=0, zhat_hi=zhat_hi, zhat_lo=zhat_lo,
                          z_hi=z_hi, z_lo=z_lo,
-                         x_hi=x0_hi.copy(), x_lo=x0_lo.copy())
+                         x_hi=x0_hi.copy(), x_lo=x0_lo.copy(),
+                         x_boxes=(x0_lo[None].copy(), x0_hi[None].copy()))
 
 
 def step(state: ObserverState, cfg: ObserverConfig, y_k,
@@ -193,13 +191,10 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     """Advance the framed bounds one step using the output at time ``k``.
 
     With set-inversion recovery and linear dynamics (``PlantModel.f_linear``),
-    it also maps the state bounds at ``k``, when they are finite, through the
-    dynamics and adds the disturbance bounds: the prior box of the next
-    recovery, padded by the rounding bound. It maps the boxes of the state
-    set (``x_boxes``), when there are any, the same way: their union, inside
-    that box, is the prior. Raises ``ValueError`` on a NaN or
-    infinite input, on unordered bounds, and on inputs not of shape
-    ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
+    it also builds the prior of the next recovery from the state set at
+    ``k``, when its bounds are finite (``setinv.dynamic_prior``). Raises
+    ``ValueError`` on a NaN or infinite input, on unordered bounds, and on
+    inputs not of shape ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
     """
     plant = cfg.transform.plant
     y_k = _finite("y_k", y_k, plant.n_y)
@@ -228,34 +223,20 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
             zhat_hi = zhat_hi + widen_hi
             zhat_lo = zhat_lo + widen_lo
 
-    prior_lo = prior_hi = prior_boxes = None
+    prior = None
     if cfg.enclosure is not None and plant.f_linear is not None and _bounded(state):
-        d = (d_lo, d_hi) if disturbed else None
-        prior_lo, prior_hi = _image(plant.f_linear, state.x_lo[None], state.x_hi[None], d)
-        prior_lo, prior_hi = prior_lo[0], prior_hi[0]
-        if state.x_boxes is not None:
-            prior_boxes = _image(plant.f_linear, *state.x_boxes, d)
+        prior = dynamic_prior(plant.f_linear, state.x_lo, state.x_hi, state.x_boxes,
+                              (d_lo, d_hi) if disturbed else None)
 
     z_lo, z_hi = interval_image(cfg.coord.S(state.k + 1), zhat_lo, zhat_hi)
     return ObserverState(k=state.k + 1, zhat_hi=zhat_hi, zhat_lo=zhat_lo,
                          z_hi=z_hi, z_lo=z_lo,
                          inv_hi=state.inv_hi, inv_lo=state.inv_lo,
-                         prior_lo=prior_lo, prior_hi=prior_hi, prior_boxes=prior_boxes)
-
-
-def _image(m, lo, hi, d):
-    """The boxes ``m [lo, hi] + [d]`` (rows), padded by the rounding bound;
-    ``d`` is ``(d_lo, d_hi)``, or ``None`` without a disturbance."""
-    p, n = np.maximum(m, 0.0), np.maximum(-m, 0.0)
-    out_lo, out_hi = lo @ p.T - hi @ n.T, hi @ p.T - lo @ n.T
-    if d is not None:
-        out_lo, out_hi = out_lo + d[0], out_hi + d[1]
-    pad = _PAD_REL * (1.0 + np.maximum(np.abs(out_lo), np.abs(out_hi)))
-    return out_lo - pad, out_hi + pad
+                         prior=prior)
 
 
 def _bounded(state: ObserverState) -> bool:
-    return (state.x_lo is not None and state.x_hi is not None
+    return (state.x_lo is not None and state.x_hi is not None and state.x_boxes is not None
             and bool(np.all(np.isfinite(state.x_lo)) and np.all(np.isfinite(state.x_hi))))
 
 
@@ -291,12 +272,12 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
                        resid_hi=float(resids[0]), resid_lo=float(resids[1]))
 
     box = cfg.transform.plant.box_x_enlarged
-    lo, hi = box.lo, box.hi
-    if state.prior_lo is not None:
-        lo, hi = np.maximum(lo, state.prior_lo), np.minimum(hi, state.prior_hi)
-    found = None
-    if np.all(lo <= hi):
-        found = set_invert(cfg.enclosure, state.z_lo, state.z_hi, lo, hi, state.prior_boxes)
+    lo, hi, union = box.lo, box.hi, None
+    if state.prior is not None:
+        (lo, hi), union = state.prior
+        lo, hi = np.maximum(box.lo, lo), np.minimum(box.hi, hi)
+    found = (set_invert(cfg.enclosure, state.z_lo, state.z_hi, lo, hi, union)
+             if np.all(lo <= hi) else None)
     if found is None:
         raise EmptyRecoveryError(state.k)
     x_lo, x_hi, _, kept = found

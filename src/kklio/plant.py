@@ -17,7 +17,7 @@ The estimated constants, ``c_f`` and ``c_h`` (``estimate_lipschitz``) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,11 +33,11 @@ class PlantModel:
     ``box_x0`` holds the initial-condition corners, ``box_x`` the invariant
     set, and ``box_x_enlarged`` the saturation box; they must be nested. The
     map shapes are checked once, on the two corners of ``box_x``, as a
-    ``(2, n_x)`` and as a ``(2, 1, n_x)`` array. ``f_linear``, when given, is
-    the ``(n_x, n_x)`` matrix of linear dynamics, ``f(x) = f_linear @ x``,
-    checked against ``f`` on the corners and centre of ``box_x_enlarged``
-    to ``1e-12`` relative; the observer maps state bounds through it
-    exactly, as the prior of set-inversion recovery.
+    ``(2, n_x)`` and as a ``(2, 1, n_x)`` array. ``f_linear`` is derived: the
+    matrix whose column ``i`` is ``f(e_i) - f(0)``, kept (C-contiguous,
+    read-only) only if ``f(x) = f_linear @ x`` to ``1e-12`` relative on the
+    3-per-axis lattice of ``box_x_enlarged`` and at the origin, else ``None``.
+    Set inversion maps state sets through it (``setinv.dynamic_prior``).
     """
 
     n_x: int
@@ -48,7 +48,7 @@ class PlantModel:
     box_x: Box
     box_x0: Box
     box_x_enlarged: Box
-    f_linear: Optional[np.ndarray] = None
+    f_linear: Optional[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -72,16 +72,19 @@ class PlantModel:
                 if shape != pts.shape[:-1] + (n_out,):
                     raise ValueError(f"{name} maps an input of shape {pts.shape} to shape "
                                      f"{shape}, expected {pts.shape[:-1] + (n_out,)}")
-        if self.f_linear is not None:
-            mat = np.array(self.f_linear, dtype=float)
-            if mat.shape != (self.n_x, self.n_x) or not np.all(np.isfinite(mat)):
-                raise ValueError(f"f_linear must be a finite ({self.n_x}, {self.n_x}) matrix")
-            pts = np.vstack([self.box_x_enlarged.grid(2), self.box_x_enlarged.center])
-            fx = np.asarray(self.f(pts), dtype=float)
-            if not np.all(np.abs(fx - pts @ mat.T) <= 1e-12 * (1.0 + np.abs(pts) @ np.abs(mat).T)):
-                raise ValueError("f_linear does not match f on the enlarged box")
-            mat.setflags(write=False)
-            object.__setattr__(self, "f_linear", mat)
+        object.__setattr__(self, "f_linear", self._linear_part())
+
+    def _linear_part(self) -> Optional[np.ndarray]:
+        fp = np.asarray(self.f(np.vstack([np.zeros(self.n_x), np.eye(self.n_x)])), dtype=float)
+        if not np.all(np.isfinite(fp)):
+            return None
+        mat = np.ascontiguousarray((fp[1:] - fp[0]).T)
+        pts = np.vstack([self.box_x_enlarged.grid(3), np.zeros(self.n_x)])
+        fx = np.asarray(self.f(pts), dtype=float)
+        if not np.all(np.abs(fx - pts @ mat.T) <= 1e-12 * (1.0 + np.abs(pts) @ np.abs(mat).T)):
+            return None
+        mat.setflags(write=False)
+        return mat
 
     def backward_orbit(self, x, n: int) -> np.ndarray:
         """Rows ``j < n``: ``x`` after ``j + 1`` steps of ``f_inv``, each clamped into the

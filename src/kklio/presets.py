@@ -16,10 +16,11 @@ A run uses only the empirically estimated transform constants
 sampled injectivity margin on the enlarged box, both estimated at the gain in
 use. Set-inversion recovery needs neither; the margin sizes only the paper's
 box, which it keeps as a diagnostic, and the bound pads the initial and
-disturbed transform bounds. The plant declares its linear dynamics
-(``f_linear``), which give set inversion its prior. Smaller gains weaken
-the transform's injectivity faster than the nominal ``gamma**(m_bar-1)``
-law, so each gain gets its own honestly sampled margin.
+disturbed transform bounds. The plant's dynamics are linear, so the plant
+derives their matrix (``PlantModel.f_linear``), which gives set inversion
+its prior. Smaller gains weaken the transform's injectivity faster than the
+nominal ``gamma**(m_bar-1)`` law, so each gain gets its own honestly sampled
+margin.
 The closed-form route certifies only gains far below the ones of interest;
 ``closed_form_constants`` estimates its inputs on demand, and the
 ``constants`` CLI command prints both.
@@ -104,7 +105,6 @@ def make_oscillator_plant(tau: float = DEFAULT_TAU, x0_box: Optional[Box] = None
         box_x=Box([-2.0, -2.0], [2.0, 2.0]),
         box_x0=x0_box,
         box_x_enlarged=Box([-3.0, -3.0], [3.0, 3.0]),
-        f_linear=np.array([[1.0, -tau], [tau, 1.0 - tau * tau]]),
     )
 
 

@@ -26,18 +26,16 @@ split, and the undecided boxes on the hull's faces face a sharper test
 (``QuadraticEnclosure.consistent2``) that drops boxes whose image only
 passes close to ``[z]``.
 
-Prior sets. The prior may be a union of boxes inside the prior box: the
-image through the dynamics of the boxes the last recovery kept, plus the
-disturbance (Kieffer, Jaulin & Walter, *Int. J. Adapt. Control Signal
-Process.* 16(3), 2002). One step's bounds ``[z]`` are often met by states on
-several branches far apart, of which the history rules out all but one, so
-the states of the union whose image lies in ``[z]`` have a much smaller hull
-than those of the box. ``PriorGrid`` holds the union as the cells of a
-regular grid over the box that meet one of its boxes, an outer
-approximation; bisection drops the boxes that meet no such cell, and counts
-a box as holding only solutions only when every cell it meets is one. Every
-box the bisection keeps, split or not, is returned with the hull, clipped to
-it, so that the next step can map them.
+Prior sets. The prior is a union of boxes inside the prior box (without
+one, the box alone): the image through linear dynamics of the boxes the
+last recovery kept, plus the disturbance (``dynamic_prior``; Kieffer,
+Jaulin & Walter, *Int. J. Adapt. Control Signal Process.* 16(3), 2002).
+One step's bounds ``[z]`` are often met on several branches far apart, of
+which the history rules out all but one. ``PriorGrid`` holds the union as
+the cells of a regular grid over the box that meet one of its boxes;
+bisection drops the boxes that meet no such cell, and counts a box as
+holding only solutions only when every cell it meets is one. The kept
+boxes are returned, clipped to the hull, for the next step to map.
 
 Krawczyk (*Computing* 4, 1969). On the hull ``X`` with centre ``c``, with
 ``C = pinv(J(c))`` and the Newton point ``u = c - C (T(c) - mid[z])``, every
@@ -198,7 +196,9 @@ class PriorGrid:
         per_axis = int(_GRID_CELLS ** (1.0 / n) + 1e-9)
         width = hi - lo
         self.lo, self.top = lo, per_axis - 1
-        self.scale = np.where(width > 0.0, per_axis / np.where(width > 0.0, width, 1.0), 0.0)
+        # an axis too narrow for a finite scale (zero or subnormal) is one cell
+        wide = width > per_axis / np.finfo(float).max
+        self.scale = np.where(wide, per_axis / np.where(wide, width, 1.0), 0.0)
         # arrays of (per_axis + 1)^n entries are held flat: a cell range
         # [i0, i1] has 2^n corners, each taking i0 or i1 + 1 along each axis
         side = per_axis + 1
@@ -237,12 +237,28 @@ class PriorGrid:
         return self._table[self._corners(i0, i1)] @ self._signs, np.prod(i1 - i0 + 1, axis=1)
 
 
+def dynamic_prior(m, x_lo, x_hi, x_boxes, d=None):
+    """The prior of the next recovery, ``((frame_lo, frame_hi), union)``: the state
+    bounds and the state set's boxes ``x_boxes = (box_lo, box_hi)`` (rows) mapped
+    through the linear dynamics ``m``, plus ``d = (d_lo, d_hi)`` if given, each
+    padded by ``_PAD_REL (1 + max(|lo|, |hi|))``."""
+    def image(lo, hi):
+        lo, hi = interval_image(m, lo, hi)
+        if d is not None:
+            lo, hi = lo + d[0], hi + d[1]
+        pad = _PAD_REL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        return lo - pad, hi + pad
+    # the bounds map as a lone row: inside the batch of boxes they would round differently
+    frame_lo, frame_hi = image(x_lo[None], x_hi[None])
+    return (frame_lo[0], frame_hi[0]), image(*x_boxes)
+
+
 def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     """Hull of the states of the box ``[lo, hi]`` whose image lies in ``[z_lo, z_hi]``.
 
-    ``prior``, when given, is a union of boxes ``(box_lo, box_hi)`` (rows)
-    and only the states in it count (``PriorGrid`` over ``[lo, hi]``).
-    Bisection, then Krawczyk on its hull (see the module docstring).
+    Only the states in ``prior``, a union of boxes ``(box_lo, box_hi)``
+    (rows), count (``PriorGrid`` over ``[lo, hi]``), or in ``[lo, hi]``
+    without one. Bisection, then Krawczyk on its hull (see the module docstring).
     Returns ``(x_lo, x_hi, boxes, kept)`` with ``boxes`` the number of boxes
     the bisection enclosed and ``kept`` the boxes it kept, clipped to the
     hull, as ``(box_lo, box_hi)``; or ``None`` when no state of the box can
@@ -252,8 +268,8 @@ def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     z_hi = np.asarray(z_hi, dtype=float)
     z_lo, z_hi = z_lo - _PAD_REL * (1.0 + np.abs(z_lo)), z_hi + _PAD_REL * (1.0 + np.abs(z_hi))
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    grid = None if prior is None else PriorGrid(lo, hi, *prior)
-    found = _bisect(enc, z_lo, z_hi, lo, hi, grid)
+    union = (lo[None], hi[None]) if prior is None else prior
+    found = _bisect(enc, z_lo, z_hi, lo, hi, PriorGrid(lo, hi, *union))
     if found is None:
         return None
     lo, hi, boxes, kept = found
@@ -274,17 +290,17 @@ def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     return lo, hi, boxes, (box_lo[meets], box_hi[meets])
 
 
-def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid=None):
+def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid: PriorGrid):
     """Bisection from ``[lo, hi]``: the hull of the kept boxes, the box count
     and the kept boxes, as ``(centres, radius)`` groups.
 
     The boxes of one level all have the same radius ``r``, since each level
     halves every box along the same, widest, axis; they are held as their
-    centres. With a ``grid``, boxes that meet none of its marked cells are
-    dropped first. A box whose enclosure lies inside ``[z]`` (and, with a
-    grid, that meets marked cells only) holds only solutions, so the hull of
-    those boxes is part of the result, and a box inside that hull needs no
-    splitting: it is kept as it is. The rounding of the centres is within the
+    centres. Boxes that meet no marked cell of the ``grid`` are dropped first.
+    A box whose enclosure lies inside ``[z]`` and that meets marked cells
+    only holds only solutions, so the hull of those boxes is part of the
+    result, and a box inside that hull needs no splitting: it is kept as it
+    is. The rounding of the centres is within the
     enclosure's pad, and the hull is padded for it. The tests compare doubled
     quantities (``QuadraticEnclosure.image2``).
     """
@@ -294,11 +310,9 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid=None):
     inner_lo, inner_hi = np.full_like(r, np.inf), np.full_like(r, -np.inf)
     boxes = 0
     while True:
-        full = True
-        if grid is not None:
-            marked, cells = grid.count(c, r)
-            meets = marked > 0.5
-            c, full = c[meets], (marked > cells - 0.5)[meets]
+        marked, cells = grid.count(c, r)
+        meets = marked > 0.5
+        c, full = c[meets], (marked > cells - 0.5)[meets]
         boxes += len(c)
         tc2, rad2 = enc.image2(c, r)
         gap2 = np.abs(tc2 - z_c2)

@@ -102,6 +102,23 @@ def test_window_falls_back_when_out_of_range():
     assert np.isfinite(s["mean_width_x_window"])
 
 
+def test_window_falls_back_to_the_rows_of_a_run_stopped_early(monkeypatch):
+    # noise outside its (zero) bounds at k=5 empties the state set at k=6:
+    # the fallback window is the second half of the rows 0-5, not of 50 steps
+    real = harness._noise_profile
+
+    def bad_noise(cfg, plant):
+        w, w_lo, w_hi, d, d_lo, d_hi = real(cfg, plant)
+        return (lambda k: np.array([0.3 if k == 5 else 0.0])), w_lo, w_hi, d, d_lo, d_hi
+
+    monkeypatch.setattr(harness, "_noise_profile", bad_noise)
+    res = run_experiment(RunConfig(steps=50, noise=False))
+    s = res.summary
+    assert s["empty_set_at"] == 6 and [r.k for r in res.rows] == list(range(6))
+    assert s["window"] == (2, 5)
+    assert s["mean_width_x_window"] == np.mean([r.width_x for r in res.rows[2:6]])
+
+
 def test_noise_free_decay_rate_matches_largest_eigenvalue():
     res = run_experiment(RunConfig(steps=25, noise=False, window=(5, 25), gamma=1.0))
     assert abs(res.summary["decay_rate_z"] - 0.4) <= 1e-9

@@ -76,6 +76,45 @@ def test_interval_image_dimension_mismatch():
         interval_image(np.eye(2), [1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
 
 
+@st.composite
+def row_boxes(draw):
+    m = draw(finite_mats)
+    s = draw(st.integers(1, 6))
+    corner = arrays(np.float64, (s, m.shape[1]), elements=st.floats(-1e6, 1e6))
+    a, b = draw(corner), draw(corner)
+    return m, np.minimum(a, b), np.maximum(a, b)
+
+
+@given(row_boxes())
+@settings(max_examples=200, deadline=None)
+def test_interval_image_of_a_batch_is_the_image_of_each_row(case):
+    # a batch maps row by row as one product, which BLAS may round
+    # differently from the vector call; a lone row, or one column, cannot
+    m, a_lo, a_hi = case
+    lo, hi = interval_image(m, a_lo, a_hi)
+    assert lo.shape == hi.shape == (len(a_lo), m.shape[0])
+    mag = np.maximum(np.abs(a_lo), np.abs(a_hi)) @ np.abs(m).T
+    tol = 4.0 * m.shape[1] * np.finfo(float).eps * mag
+    exact = len(a_lo) == 1 or m.shape[1] == 1
+    for row in range(len(a_lo)):
+        v_lo, v_hi = interval_image(m, a_lo[row], a_hi[row])
+        if exact:
+            assert np.array_equal(lo[row], v_lo) and np.array_equal(hi[row], v_hi)
+        assert np.all(np.abs(lo[row] - v_lo) <= tol[row])
+        assert np.all(np.abs(hi[row] - v_hi) <= tol[row])
+
+
+@pytest.mark.parametrize("a_lo,a_hi", [
+    (np.zeros((3, 2)), np.zeros((2, 2))),
+    (np.zeros((3, 3)), np.zeros((3, 3))),
+    (np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros((1, 3, 2)), np.zeros((1, 3, 2))),
+], ids=["rows", "columns", "mixed", "3-d"])
+def test_interval_image_batch_shape_mismatch(a_lo, a_hi):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        interval_image(np.eye(2), a_lo, a_hi)
+
+
 @pytest.mark.parametrize(
     "v,expected",
     [([1, -3, 2], 3.0), ([0, 0], 0.0), ([-0.2], 0.2)],

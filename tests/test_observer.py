@@ -270,7 +270,7 @@ def test_zero_width_recovery_hits_state(osc):
     state = init_observer(cfg, x_bar, x_bar)
     state = replace(state, k=1, z_hi=z.copy(), z_lo=z.copy())
     # a hand-built state carries no prior: set inversion starts from the enlarged box
-    assert state.prior_lo is None and state.prior_hi is None
+    assert state.prior is None
     state = recover_x_bounds(state, cfg)
     assert np.max(np.abs(state.x_hi - x_bar)) <= 1e-4
     assert np.max(np.abs(state.x_lo - x_bar)) <= 1e-4

@@ -14,7 +14,7 @@ from kklio import (EmptyRecoveryError, InverseConfig, PlantModel, eval_T, init_o
 from kklio import harness
 from kklio.cli import main
 from kklio.harness import CHECK_SLACK
-from kklio.presets import build_oscillator, siE_disturbance, siE_noise
+from kklio.presets import DEFAULT_TAU, build_oscillator, siE_disturbance, siE_noise
 from kklio.setinv import PriorGrid, QuadraticEnclosure, set_invert
 from kklio.transform import _gauss_newton, jacobian_poly
 
@@ -194,15 +194,30 @@ def test_invert_without_lattice_is_the_warm_start_alone(osc):
         invert_T(t, z[0], cfg, lattice=False)
 
 
+def _saddle(f):
+    # 0.45 off at (3, 0), but 0 at the corners and the centre of [-3, 3]^2
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return f(x) + 0.05 * (x[..., :1] ** 2 - x[..., 1:] ** 2)
+    return g
+
+
 def test_plant_checks_its_linear_dynamics(osc):
     p = osc.plant
-    kw = dict(n_x=2, n_y=1, f=p.f, f_inv=p.f_inv, h=p.h, box_x=p.box_x, box_x0=p.box_x0,
+    kw = dict(n_x=2, n_y=1, f_inv=p.f_inv, h=p.h, box_x=p.box_x, box_x0=p.box_x0,
               box_x_enlarged=p.box_x_enlarged)
-    assert not p.f_linear.flags.writeable
-    with pytest.raises(ValueError, match="does not match f"):
-        PlantModel(**kw, f_linear=p.f_linear + 1e-6)
-    with pytest.raises(ValueError, match="finite"):
-        PlantModel(**kw, f_linear=np.eye(3))
+    tau = DEFAULT_TAU
+    # column i is f(e_i) - f(0), bit for bit the oscillator's matrix
+    assert np.array_equal(p.f_linear, np.array([[1.0, -tau], [tau, 1.0 - tau * tau]]))
+    assert p.f_linear.flags.c_contiguous and not p.f_linear.flags.writeable
+    # the matrix is derived, never declared
+    with pytest.raises(TypeError):
+        PlantModel(**kw, f=p.f, f_linear=p.f_linear)
+    # an f that its matrix does not match, or that is not finite, has none
+    assert PlantModel(**kw, f=_saddle(p.f)).f_linear is None
+    assert PlantModel(**kw, f=lambda x: p.f(x) + 1e-6).f_linear is None
+    nan_on_axes = lambda x: np.where(np.any(x == 0.0, axis=-1, keepdims=True), np.nan, p.f(x))
+    assert PlantModel(**kw, f=nan_on_axes).f_linear is None
 
 
 def test_step_carries_the_prior(osc):
@@ -212,25 +227,28 @@ def test_step_carries_the_prior(osc):
     nxt = step(state, cfg, np.array([0.3]), np.array([-0.1]), np.array([0.1]), d_lo=-d, d_hi=d)
     corners = osc.plant.box_x0.grid(2)
     images = osc.plant.f(corners)
-    assert np.all(nxt.prior_lo <= images.min(axis=0) - d)
-    assert np.all(nxt.prior_hi >= images.max(axis=0) + d)
-    np.testing.assert_allclose(nxt.prior_lo, images.min(axis=0) - d, atol=1e-11)
-    assert nxt.prior_boxes is None
+    (prior_lo, prior_hi), union = nxt.prior
+    assert np.all(prior_lo <= images.min(axis=0) - d)
+    assert np.all(prior_hi >= images.max(axis=0) + d)
+    np.testing.assert_allclose(prior_lo, images.min(axis=0) - d, atol=1e-11)
+    # the initial state set is the initial box alone: its image is the frame
+    assert np.array_equal(union[0], prior_lo[None]) and np.array_equal(union[1], prior_hi[None])
     # the boxes of the state set map box by box, inside the image of the bounds
     box_lo = np.array([[0.5, -0.5], [1.0, 0.0]])
     box_hi = np.array([[0.8, 0.0], [1.5, 0.5]])
     kept = replace(state, x_boxes=(box_lo, box_hi))
     nxt = step(kept, cfg, np.array([0.3]), np.array([-0.1]), np.array([0.1]), d_lo=-d, d_hi=d)
-    for lo, hi, m_lo, m_hi in zip(box_lo, box_hi, *nxt.prior_boxes):
+    (prior_lo, prior_hi), union = nxt.prior
+    for lo, hi, m_lo, m_hi in zip(box_lo, box_hi, *union):
         images = osc.plant.f(np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]],
                                        [hi[0], hi[1]]]))
         np.testing.assert_allclose(m_lo, images.min(axis=0) - d, atol=1e-11)
         np.testing.assert_allclose(m_hi, images.max(axis=0) + d, atol=1e-11)
-        assert np.all(nxt.prior_lo <= m_lo) and np.all(m_hi <= nxt.prior_hi)
+        assert np.all(prior_lo <= m_lo) and np.all(m_hi <= prior_hi)
     # a state without finite state bounds gives no prior
     for x_lo in (None, np.array([np.nan, 0.0]), np.array([-np.inf, 0.0])):
         bare = replace(state, x_lo=x_lo)
-        assert step(bare, cfg, np.array([0.3]), np.zeros(1), np.zeros(1)).prior_lo is None
+        assert step(bare, cfg, np.array([0.3]), np.zeros(1), np.zeros(1)).prior is None
 
 
 def _realized_run(bundle, steps, ws, ds, x0):

@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "trace_diff.py"
@@ -68,3 +69,20 @@ def test_trace_diff_equal_and_incomparable(tool, tmp_path, capsys):
     other = _write(tmp_path / "other.csv", ROWS_A, header=HEADER.replace("width_x", "w"))
     assert tool.main([a, other]) == 2
     assert tool.main([a]) == 2
+
+
+def test_trace_diff_equal_infinite_bounds(tool, tmp_path, capsys):
+    # a run that recovers an unbounded box writes +-inf bounds: equal cells
+    # are no change, and a differing cell next to them is measured alone
+    rows = [ROWS_A[0], "1,-inf,inf,-1,1,1e-09,2e-09,inf", ROWS_A[2]]
+    a = _write(tmp_path / "a.csv", rows)
+    d = tool.trace_diff(a, _write(tmp_path / "same.csv", rows))
+    assert d["differ_k"] == [] and d["max_abs_x_bounds"] == 0.0 and d["max_rel_resid"] == 0.0
+    assert tool.main([a, a]) == 0
+    assert "max |delta| x_lo/x_hi: 0" in capsys.readouterr().out
+    moved = [ROWS_A[0], "1,-inf,inf,-1,1,1e-09,2e-09,inf", "2,-0.25,0.5,-0.5,0.5,4e-09,0,0.75"]
+    d = tool.trace_diff(a, _write(tmp_path / "moved.csv", moved))
+    assert d["differ_k"] == [2] and d["max_abs_x_bounds"] == 0.25
+    # an infinite bound against a finite one is an infinite change
+    opened = [ROWS_A[0], ROWS_A[1], "2,-inf,0.25,-0.5,0.5,4e-09,0,inf"]
+    assert tool.trace_diff(_write(tmp_path / "open.csv", opened), a)["max_abs_x_bounds"] == np.inf

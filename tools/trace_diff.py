@@ -7,7 +7,8 @@ runs of one configuration do. Prints the rows that differ (by ``k``, the
 first ten listed and the rest counted), the
 largest absolute change of the state bounds (``x_lo*``/``x_hi*``) and of the
 target bounds (``z_lo*``/``z_hi*``), the largest relative change of the
-inversion residuals (``resid_hi``/``resid_lo``), and for each file the median
+inversion residuals (``resid_hi``/``resid_lo``), each over the cells that
+differ, so that equal infinite bounds count as no change, and for each file the median
 ``width_x`` and the informative fraction: the share of rows whose
 ``width_x`` is below ``INVARIANT_WIDTH``, the width of the demo plant's
 invariant box ``[-2, 2]^2``. Exit code 0 when the files hold equal numbers,
@@ -34,8 +35,15 @@ def _cols(header: list[str], *prefixes: str) -> list[int]:
     return [i for i, name in enumerate(header) if name.startswith(prefixes)]
 
 
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cells that differ; NaN equals NaN, and an infinite bound its own sign."""
+    return ~((a == b) | (np.isnan(a) & np.isnan(b)))
+
+
 def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b), initial=0.0))
+    # only cells that differ: equal infinite bounds would give inf - inf = nan
+    differ = _differ(a, b)
+    return float(np.max(np.abs(a[differ] - b[differ]), initial=0.0))
 
 
 def trace_diff(path_a: str, path_b: str) -> dict:
@@ -46,13 +54,13 @@ def trace_diff(path_a: str, path_b: str) -> dict:
         raise ValueError("the files have different headers")
     if a.shape != b.shape:
         raise ValueError(f"the files have {len(a)} and {len(b)} rows")
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
-    differ = ~same.all(axis=1)
+    differ = _differ(a, b).any(axis=1)
     k = a[:, head_a.index("k")]
     x_cols = _cols(head_a, "x_lo", "x_hi")
     z_cols = _cols(head_a, "z_lo", "z_hi")
     r_cols = _cols(head_a, "resid_hi", "resid_lo")
-    ra, rb = a[:, r_cols], b[:, r_cols]
+    r_differ = _differ(a[:, r_cols], b[:, r_cols])
+    ra, rb = a[:, r_cols][r_differ], b[:, r_cols][r_differ]
     scale = np.maximum(np.abs(ra), np.abs(rb))
     rel = np.divide(np.abs(ra - rb), scale, out=np.zeros_like(scale), where=scale > 0)
     w = head_a.index("width_x")
