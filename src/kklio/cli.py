@@ -119,6 +119,9 @@ def _cmd_run(cfg: RunConfig) -> int:
     print(f"z-width decay rate per step: {s['decay_rate_z']:.6g}")
     print(f"final width_x: {s['final_width_x']:.6g}  max inversion residual: "
           f"{s['max_resid']:.3g}")
+    if s.get("boxes_median") is not None:
+        print(f"set-inversion boxes per step: median {s['boxes_median']:g}, "
+              f"max {s['boxes_max']}")
     if cfg.out:
         print(f"trace written to {cfg.out}")
     if cfg.svg:

@@ -5,10 +5,13 @@ bounds, output, noise, residual slacks, bound widths) plus a summary with
 the enclosure-violation count, the mean state-bound width over a window, a
 geometric width-decay fit, the first step at which the true state left the
 enlarged box (``left_box_at``, ``None`` if it never did), the step at which
-recovery found an empty state set (``empty_set_at``), and the number of rows
+recovery found an empty state set (``empty_set_at``), the number of rows
 where the paper's box, kept as a diagnostic, is narrower than the returned
-one (``paper_box_tighter``). CSV output uses 17-significant-digit decimal
-formatting, so identical configurations produce byte-identical files.
+one (``paper_box_tighter``), and the median and largest number of boxes set
+inversion enclosed per step (``boxes_median``, ``boxes_max``; ``None``
+without set inversion), which the rows carry but the CSV does not. CSV
+output uses 17-significant-digit decimal formatting, so identical
+configurations produce byte-identical files.
 
 Every check allows the checking slack of 1e-9 (``CHECK_SLACK``). State-space
 checks also allow the published residual slack
@@ -117,6 +120,7 @@ class TraceRow:
     width_x: float
     width_z: float
     paper_width_x: Optional[float] = None  # the paper's box, kept as a diagnostic
+    boxes: Optional[int] = None  # boxes set inversion enclosed; not written to the CSV
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +194,7 @@ def _row_from_state(k, trace, state, bundle) -> TraceRow:
         width_z=inf_norm(state.z_hi - state.z_lo),
         paper_width_x=(None if state.paper_lo is None
                        else inf_norm(state.paper_hi - state.paper_lo)),
+        boxes=state.boxes,
     )
 
 
@@ -224,6 +229,7 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int],
         decay = float(np.exp(np.mean(np.log(ratios))))
     else:
         decay = float("nan")
+    boxes = [r.boxes for r in rows if r.boxes is not None]
 
     return {
         "preset": cfg.preset,
@@ -244,6 +250,8 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int],
         "empty_set_at": empty_at,
         "paper_box_tighter": sum(1 for r in rows if r.paper_width_x is not None
                                  and r.paper_width_x < r.width_x),
+        "boxes_median": float(np.median(boxes)) if boxes else None,
+        "boxes_max": max(boxes) if boxes else None,
     }
 
 

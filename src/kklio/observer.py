@@ -7,9 +7,14 @@ matrix ``Lambda = R_{k+1} A inv(R_k)`` is constant, nonnegative and Schur:
     zhat- <- Lambda zhat- + (R B) y + (R B)^- w- - (R B)^+ w+
 
 (with ``R = R_{k+1}`` and the superscripts denoting the nonnegative sign
-split). Known disturbance bounds on the state equation widen both framed
-bounds by their transform-Lipschitz image mapped through the frame split.
-Unframed bounds follow from the split of the inverse frame.
+split). Known disturbance bounds ``[d]`` on the state equation widen both
+framed bounds by ``R_{k+1}`` applied, through its sign split, to a spread
+``+-s`` in target coordinates. For a state tracked by set inversion (an
+enclosure, linear dynamics and finite state bounds) ``s`` is the exact
+mean-value bound of ``T(a + d) - T(a) = J(a + d/2) d`` over ``a`` in
+``f([x_k])`` (``setinv.disturbance_spread``); otherwise it is
+``c_L ||d||_inf`` in every component, with the sampled forward Lipschitz
+bound ``c_L``. Unframed bounds follow from the split of the inverse frame.
 
 State-space bounds come from the unframed bounds ``[z]`` in one of two ways:
 
@@ -56,7 +61,7 @@ import numpy as np
 
 from .coords import CoordChangeSeq
 from .intervals import Box, inf_norm, interval_image
-from .setinv import QuadraticEnclosure, dynamic_prior, set_invert
+from .setinv import QuadraticEnclosure, disturbance_spread, dynamic_prior, set_invert
 from .transform import InverseConfig, KklTransform, SystemConstants, eval_T, invert_T
 
 
@@ -133,7 +138,8 @@ class ObserverState:
     a ``(lo, hi)`` pair of ``(boxes, n_x)`` arrays: the initial box, then
     those set inversion kept, which ``step`` maps to ``prior``
     (``setinv.dynamic_prior``). ``paper_lo``/``paper_hi`` is the paper's box,
-    kept as a diagnostic with set inversion.
+    kept as a diagnostic with set inversion, and ``boxes`` the number of boxes
+    its bisection enclosed (``None`` without set inversion and at ``k = 0``).
     """
 
     k: int
@@ -151,6 +157,7 @@ class ObserverState:
     paper_hi: Optional[np.ndarray] = None
     x_boxes: Optional[tuple] = None
     prior: Optional[tuple] = None
+    boxes: Optional[int] = None
 
 
 def init_observer(cfg: ObserverConfig, x0_lo, x0_hi) -> ObserverState:
@@ -191,8 +198,10 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     """Advance the framed bounds one step using the output at time ``k``.
 
     With set-inversion recovery and linear dynamics (``PlantModel.f_linear``),
-    it also builds the prior of the next recovery from the state set at
-    ``k``, when its bounds are finite (``setinv.dynamic_prior``). Raises
+    when the state bounds at ``k`` are finite, it also builds the prior of
+    the next recovery from the state set (``setinv.dynamic_prior``), and a
+    disturbance widens the bounds by its mean-value spread
+    (``setinv.disturbance_spread``) instead of ``c_L ||d||_inf``. Raises
     ``ValueError`` on a NaN or infinite input, on unordered bounds, and on
     inputs not of shape ``(n_y,)`` (``y_k``, ``w_*``) or ``(n_x,)`` (``d_*``).
     """
@@ -210,21 +219,26 @@ def step(state: ObserverState, cfg: ObserverConfig, y_k,
     zhat_hi = lam @ state.zhat_hi + drive - n_lo
     zhat_lo = lam @ state.zhat_lo + drive - n_hi
 
+    tracked = cfg.enclosure is not None and plant.f_linear is not None and _bounded(state)
     disturbed = d_lo is not None or d_hi is not None
     if disturbed:
         d_lo = np.zeros(plant.n_x) if d_lo is None else _finite("d_lo", d_lo, plant.n_x)
         d_hi = np.zeros(plant.n_x) if d_hi is None else _finite("d_hi", d_hi, plant.n_x)
         if np.any(d_lo > d_hi):
             raise ValueError("disturbance bounds are not ordered: d_lo > d_hi somewhere")
-        delta = cfg.consts.c_L * max(inf_norm(d_hi), inf_norm(d_lo))
-        if delta > 0.0:
+        if tracked:
+            spread = disturbance_spread(cfg.enclosure, plant.f_linear, state.x_lo, state.x_hi,
+                                        d_lo, d_hi)
+        else:
+            delta = cfg.consts.c_L * max(inf_norm(d_hi), inf_norm(d_lo))
             spread = np.full(cfg.transform.target.n_z, delta)
+        if np.any(spread > 0.0):
             widen_lo, widen_hi = interval_image(r_next, -spread, spread)
             zhat_hi = zhat_hi + widen_hi
             zhat_lo = zhat_lo + widen_lo
 
     prior = None
-    if cfg.enclosure is not None and plant.f_linear is not None and _bounded(state):
+    if tracked:
         prior = dynamic_prior(plant.f_linear, state.x_lo, state.x_hi, state.x_boxes,
                               (d_lo, d_hi) if disturbed else None)
 
@@ -280,13 +294,13 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
              if np.all(lo <= hi) else None)
     if found is None:
         raise EmptyRecoveryError(state.k)
-    x_lo, x_hi, _, kept = found
+    x_lo, x_hi, boxes, kept = found
     centre = 0.5 * (x_lo + x_hi)
     (paper_lo, paper_hi), u, v, _ = _paper_box(state, cfg, np.stack([centre, centre]),
                                                lattice=False)
     return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
                    resid_hi=0.0, resid_lo=0.0,
-                   paper_lo=paper_lo, paper_hi=paper_hi, x_boxes=kept)
+                   paper_lo=paper_lo, paper_hi=paper_hi, x_boxes=kept, boxes=boxes)
 
 
 def _paper_box(state: ObserverState, cfg: ObserverConfig, warm, lattice: bool):

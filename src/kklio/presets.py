@@ -15,11 +15,13 @@ A run uses only the empirically estimated transform constants
 (``SystemConstants``): the forward Lipschitz bound of the transform and its
 sampled injectivity margin on the enlarged box, both estimated at the gain in
 use. Set-inversion recovery needs neither; the margin sizes only the paper's
-box, which it keeps as a diagnostic, and the bound pads the initial and
-disturbed transform bounds. The plant's dynamics are linear, so the plant
-derives their matrix (``PlantModel.f_linear``), which gives set inversion
-its prior. Smaller gains weaken the transform's injectivity faster than the
-nominal ``gamma**(m_bar-1)`` law, so each gain gets its own honestly sampled
+box, which it keeps as a diagnostic. The bound pads the initial transform
+bounds, and widens the disturbed ones only for a state that set inversion
+does not track (``observer.step``). The plant's dynamics are linear, so
+the plant derives their matrix (``PlantModel.f_linear``), which gives set
+inversion its prior and the disturbed bounds their mean-value widening.
+Smaller gains weaken the transform's injectivity faster than the nominal
+``gamma**(m_bar-1)`` law, so each gain gets its own honestly sampled
 margin.
 The closed-form route certifies only gains far below the ones of interest;
 ``closed_form_constants`` estimates its inputs on demand, and the

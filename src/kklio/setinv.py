@@ -37,6 +37,11 @@ bisection drops the boxes that meet no such cell, and counts a box as
 holding only solutions only when every cell it meets is one. The kept
 boxes are returned, clipped to the hull, for the next step to map.
 
+Disturbance. The same identity bounds what a state disturbance ``d`` adds
+to ``T`` along one step: ``T(a + d) - T(a) = J(a + d/2) d``, with ``a`` in
+the image of the state bounds through the linear dynamics
+(``disturbance_spread``), which ``step`` uses to widen the transform bounds.
+
 Krawczyk (*Computing* 4, 1969). On the hull ``X`` with centre ``c``, with
 ``C = pinv(J(c))`` and the Newton point ``u = c - C (T(c) - mid[z])``, every
 ``x`` of ``X`` with ``T(x)`` in ``[z]`` satisfies, by the exact mean-value
@@ -237,20 +242,45 @@ class PriorGrid:
         return self._table[self._corners(i0, i1)] @ self._signs, np.prod(i1 - i0 + 1, axis=1)
 
 
+def _image(m, lo, hi, d=None):
+    """The row boxes ``[lo, hi]`` mapped through ``m``, plus ``d = (d_lo, d_hi)``
+    if given, padded by ``_PAD_REL (1 + max(|lo|, |hi|))``."""
+    lo, hi = interval_image(m, lo, hi)
+    if d is not None:
+        lo, hi = lo + d[0], hi + d[1]
+    pad = _PAD_REL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    return lo - pad, hi + pad
+
+
 def dynamic_prior(m, x_lo, x_hi, x_boxes, d=None):
     """The prior of the next recovery, ``((frame_lo, frame_hi), union)``: the state
     bounds and the state set's boxes ``x_boxes = (box_lo, box_hi)`` (rows) mapped
     through the linear dynamics ``m``, plus ``d = (d_lo, d_hi)`` if given, each
-    padded by ``_PAD_REL (1 + max(|lo|, |hi|))``."""
-    def image(lo, hi):
-        lo, hi = interval_image(m, lo, hi)
-        if d is not None:
-            lo, hi = lo + d[0], hi + d[1]
-        pad = _PAD_REL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        return lo - pad, hi + pad
+    padded (``_image``)."""
     # the bounds map as a lone row: inside the batch of boxes they would round differently
-    frame_lo, frame_hi = image(x_lo[None], x_hi[None])
-    return (frame_lo[0], frame_hi[0]), image(*x_boxes)
+    frame_lo, frame_hi = _image(m, x_lo[None], x_hi[None], d)
+    return (frame_lo[0], frame_hi[0]), _image(m, *x_boxes, d)
+
+
+def disturbance_spread(enc: QuadraticEnclosure, m, x_lo, x_hi, d_lo, d_hi) -> np.ndarray:
+    """Per component, a bound ``s`` on ``|T(a + d) - T(a)|`` over ``a`` in the
+    image of the state bounds ``[x_lo, x_hi]`` through the linear dynamics
+    ``m`` and ``d`` in ``[d_lo, d_hi]``.
+
+    For a quadratic ``T``, exactly, ``T(a + d) - T(a) = J(a + d/2) d``, with
+    ``a + d/2`` in the box ``B = m [x] + [d]/2`` (padded, ``_image``). ``J`` is
+    affine, so the magnitude of its entries over ``c +- r = B`` is exactly
+    ``|J(c)| + sum_i |G_i| r_i``, and ``s = mag(J(B)) max(|d_lo|, |d_hi|)``,
+    widened by ``_PAD_REL`` times the magnitude of its terms.
+    """
+    lo, hi = _image(m, x_lo[None], x_hi[None], (0.5 * d_lo, 0.5 * d_hi))
+    c = 0.5 * (lo[0] + hi[0])
+    r = 0.5 * (hi[0] - lo[0]) + _PAD_REL * (1.0 + np.abs(c))  # c +- r holds B despite rounding
+    abs_g = np.abs(enc.g)
+    mag = np.abs(enc.jacobian(c)) + np.einsum("izk,i->zk", abs_g, r)
+    terms = np.abs(enc.j0) + np.einsum("izk,i->zk", abs_g, np.abs(c) + r)
+    d_mag = np.maximum(np.abs(d_lo), np.abs(d_hi))
+    return mag @ d_mag + _PAD_REL * (terms @ d_mag)
 
 
 def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):

@@ -247,7 +247,7 @@ def test_criterion_12_determinism(tmp_path, announce):
 GOLDEN_SHA256 = {
     "noise-g1": "7cf71a939d6eb51c7881bb498ad4e6bbc87dcfc1a8804de484016a47263563d1",
     "noise-g07": "9e7badecb174d00f54eccd1d3480a0616d189e879daecc3f1412dcec1ef1c4bd",
-    "noise-dist-g1": "b09cf8ac7251bb519e703fce5ed15d6fabf03faefeff98bd909c5679ffc40770",
+    "noise-dist-g1": "514a636a7b6c33e60a950acf3d1ac521becab8a90e275294887f2312f5e9933b",
 }
 
 

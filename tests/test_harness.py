@@ -44,6 +44,23 @@ def test_run_summary_contents(short_noisy):
     assert len(res.rows) == 41
 
 
+def test_run_reports_set_inversion_boxes(short_noisy, capsys):
+    # each recovered row carries the box count of its bisection, the summary
+    # its median and maximum, and the CSV stays as it was
+    res, out = short_noisy
+    counts = [r.boxes for r in res.rows[1:]]
+    assert res.rows[0].boxes is None
+    assert all(isinstance(n, int) and 1 <= n <= 4096 for n in counts)
+    assert res.summary["boxes_median"] == float(np.median(counts))
+    assert res.summary["boxes_max"] == max(counts)
+    assert out.read_text().split("\n", 1)[0] == csv_header(2, 4, 1)
+    # the same run through the CLI (the window changes only the mean width)
+    assert main(["run", "--steps", "40"]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines() if "boxes" in ln]
+    assert line == ["set-inversion boxes per step: median "
+                    f"{res.summary['boxes_median']:g}, max {res.summary['boxes_max']}"]
+
+
 def test_rows_against_recomputed_truth(short_noisy):
     res, _ = short_noisy
     # independent recomputation of the plant trajectory

@@ -243,15 +243,35 @@ def test_monotone_noise_dependence(osc):
 
 
 def test_disturbance_widens_bounds(osc):
-    cfg = osc.observer_cfg
-    state = init_observer(cfg, osc.plant.box_x0.lo, osc.plant.box_x0.hi)
-    y = np.array([0.3])
-    plain = step(state, cfg, y, np.array([-0.1]), np.array([0.1]))
-    bumped = step(state, cfg, y, np.array([-0.1]), np.array([0.1]),
-                  d_lo=-0.01 * np.ones(2), d_hi=0.01 * np.ones(2))
-    delta = cfg.consts.c_L * 0.01
-    np.testing.assert_allclose(bumped.zhat_hi, plain.zhat_hi + delta, atol=1e-12)
-    np.testing.assert_allclose(bumped.zhat_lo, plain.zhat_lo - delta, atol=1e-12)
+    # a tracked state widens z component i by sum_k mag(J_ik) |d_k|, the
+    # magnitude taken over B = f(X_0) + [d]/2, and frames that spread by R_1
+    from dataclasses import replace
+
+    from kklio import interval_image
+    from kklio.transform import jacobian_poly
+    cfg, plant = osc.observer_cfg, osc.plant
+    state = init_observer(cfg, plant.box_x0.lo, plant.box_x0.hi)
+    y, w_lo, w_hi, d = np.array([0.3]), np.array([-0.1]), np.array([0.1]), 0.01
+
+    def widening(state):
+        plain = step(state, cfg, y, w_lo, w_hi)
+        bumped = step(state, cfg, y, w_lo, w_hi, d_lo=np.full(2, -d), d_hi=np.full(2, d))
+        return bumped.zhat_lo - plain.zhat_lo, bumped.zhat_hi - plain.zhat_hi
+
+    # J is affine, so the largest |J_ik| over B lies at a corner of B
+    images = plant.f(plant.box_x0.grid(2))
+    b = Box(images.min(axis=0) - d / 2, images.max(axis=0) + d / 2)
+    mag = np.max(np.abs([jacobian_poly(osc.transform, x) for x in b.grid(2)]), axis=0)
+    spread = mag @ np.full(2, d)
+    assert np.all(spread < cfg.consts.c_L * d)
+    expected = interval_image(cfg.coord.R(1), -spread, spread)
+    for got, want in zip(widening(state), expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # a state without state bounds, as a hand-built one, keeps the c_L widening
+    delta = np.full(osc.target.n_z, cfg.consts.c_L * d)
+    for got, want in zip(widening(replace(state, x_lo=None)),
+                         interval_image(cfg.coord.R(1), -delta, delta)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_recovery_at_k0_returns_initial_box(osc):

@@ -1,6 +1,7 @@
 """Set-inversion recovery: the enclosure of ``T``, the paving, and what a run
 of the observer guarantees with it."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kklio import (EmptyRecoveryError, InverseConfig, PlantModel, eval_T, init_observer,
+from kklio import (Box, EmptyRecoveryError, InverseConfig, PlantModel, eval_T, init_observer,
                    invert_T, make_series_transform, recover_x_bounds, simulate_plant, step)
 from kklio import harness
 from kklio.cli import main
 from kklio.harness import CHECK_SLACK
 from kklio.presets import DEFAULT_TAU, build_oscillator, siE_disturbance, siE_noise
-from kklio.setinv import PriorGrid, QuadraticEnclosure, set_invert
+from kklio.setinv import PriorGrid, QuadraticEnclosure, disturbance_spread, set_invert
 from kklio.transform import _gauss_newton, jacobian_poly
 
 
@@ -249,6 +250,53 @@ def test_step_carries_the_prior(osc):
     for x_lo in (None, np.array([np.nan, 0.0]), np.array([-np.inf, 0.0])):
         bare = replace(state, x_lo=x_lo)
         assert step(bare, cfg, np.array([0.3]), np.zeros(1), np.zeros(1)).prior is None
+
+
+# a bound of the enlarged box [-3, 3] on each axis, often its corner value
+_EDGE = st.one_of(st.sampled_from((-3.0, 3.0)), st.floats(-3.0, 3.0), st.floats(2.5, 3.0),
+                  st.floats(-3.0, -2.5))
+_D = st.one_of(st.sampled_from((-0.5, 0.0, 0.5)), st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_EDGE, min_size=4, max_size=4), st.lists(_D, min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_disturbance_spread_bounds_the_transform_change(osc, edges, d_ends, seed):
+    # for x in a box X of the enlarged box and d in [d], the change
+    # T(f(x) + d) - T(f(x)) = J(f(x) + d/2) d lies within +- the spread;
+    # boxes at the enlarged box's corners, where |J| is largest, included
+    plant, enc = osc.plant, osc.observer_cfg.enclosure
+    x_lo, x_hi = np.minimum(edges[:2], edges[2:]), np.maximum(edges[:2], edges[2:])
+    d_lo, d_hi = np.minimum(d_ends[:2], d_ends[2:]), np.maximum(d_ends[:2], d_ends[2:])
+    spread = disturbance_spread(enc, plant.f_linear, x_lo, x_hi, d_lo, d_hi)
+    rng = np.random.default_rng(seed)
+    corners = Box(x_lo, x_hi).grid(2)
+    d_corners = Box(d_lo, d_hi).grid(2)
+    xs = np.vstack([np.repeat(corners, len(d_corners), axis=0), rng.uniform(x_lo, x_hi, (400, 2))])
+    ds = np.vstack([np.tile(d_corners, (len(corners), 1)), rng.uniform(d_lo, d_hi, (400, 2))])
+    a = plant.f(xs)
+    t_a, t_ad = eval_T(osc.transform, a), eval_T(osc.transform, a + ds)
+    # the tolerance covers the rounding of the two evaluations alone
+    tol = 1e-13 * (1.0 + np.abs(t_a) + np.abs(t_ad))
+    assert np.all(np.abs(t_ad - t_a) <= spread + tol)
+    if not np.any(d_lo) and not np.any(d_hi):
+        assert np.all(spread == 0.0)
+
+
+# sha256 of the CSV trace of RunConfig(gamma=0.7, steps=500, noise=True,
+# disturbance=True), the gain, noise and disturbance of the benchmark's
+# dist-g07 workload (numpy 2.4.6; the same with one and two BLAS threads):
+# it pins the mean-value widening of the disturbed transform bounds at a
+# second gain, next to the golden noise-dist-g1 trace at gamma 1
+DIST_G07_SHA256 = "77aa63297b2e72e64694803521044e80889dc80852de82f59974ee8324d26787"
+
+
+def test_disturbed_trace_at_gamma_07_is_pinned(tmp_path):
+    out = tmp_path / "dist-g07.csv"
+    res = harness.run_experiment(harness.RunConfig(gamma=0.7, steps=500, noise=True,
+                                                   disturbance=True, out=str(out)))
+    assert res.summary["violations"] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_G07_SHA256
 
 
 def _realized_run(bundle, steps, ws, ds, x0):

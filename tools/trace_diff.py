@@ -4,15 +4,15 @@
 
 Both files must have the same header and the same number of rows, as two
 runs of one configuration do. Prints the rows that differ (by ``k``, the
-first ten listed and the rest counted), the
-largest absolute change of the state bounds (``x_lo*``/``x_hi*``) and of the
-target bounds (``z_lo*``/``z_hi*``), the largest relative change of the
-inversion residuals (``resid_hi``/``resid_lo``), each over the cells that
-differ, so that equal infinite bounds count as no change, and for each file the median
-``width_x`` and the informative fraction: the share of rows whose
-``width_x`` is below ``INVARIANT_WIDTH``, the width of the demo plant's
-invariant box ``[-2, 2]^2``. Exit code 0 when the files hold equal numbers,
-1 when they differ, 2 when they cannot be compared.
+first ten listed and the rest counted), the largest absolute change of the
+state bounds (``x_lo*``/``x_hi*``) and of the target bounds
+(``z_lo*``/``z_hi*``), the largest relative change of the inversion
+residuals (``resid_hi``/``resid_lo``), each over the cells that differ, so
+that equal infinite bounds count as no change, and for each file the
+medians of ``width_x`` and ``width_z`` and the informative fraction: the
+share of rows whose ``width_x`` is below ``INVARIANT_WIDTH``, the width of
+the demo plant's invariant box ``[-2, 2]^2``. Exit code 0 when the files
+hold equal numbers, 1 when they differ, 2 when they cannot be compared.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def trace_diff(path_a: str, path_b: str) -> dict:
     ra, rb = a[:, r_cols][r_differ], b[:, r_cols][r_differ]
     scale = np.maximum(np.abs(ra), np.abs(rb))
     rel = np.divide(np.abs(ra - rb), scale, out=np.zeros_like(scale), where=scale > 0)
-    w = head_a.index("width_x")
+    w, wz = head_a.index("width_x"), head_a.index("width_z")
     return {
         "rows": len(a),
         "differ_k": [int(v) for v in k[differ]],
@@ -71,6 +71,7 @@ def trace_diff(path_a: str, path_b: str) -> dict:
         "max_abs_z_bounds": _max_abs(a[:, z_cols], b[:, z_cols]),
         "max_rel_resid": float(np.max(rel, initial=0.0)),
         "width_x_median": (float(np.median(a[:, w])), float(np.median(b[:, w]))),
+        "width_z_median": (float(np.median(a[:, wz])), float(np.median(b[:, wz]))),
         "informative_frac": (float(np.mean(a[:, w] < INVARIANT_WIDTH)),
                              float(np.mean(b[:, w] < INVARIANT_WIDTH))),
     }
@@ -96,6 +97,8 @@ def main(argv=None) -> int:
     print(f"max relative delta resid_hi/resid_lo: {d['max_rel_resid']:.3g}")
     med_a, med_b = d["width_x_median"]
     print(f"width_x median: {med_a:.17g} (A)  {med_b:.17g} (B)")
+    med_a, med_b = d["width_z_median"]
+    print(f"width_z median: {med_a:.17g} (A)  {med_b:.17g} (B)")
     inf_a, inf_b = d["informative_frac"]
     print(f"informative fraction (width_x < {INVARIANT_WIDTH:g}): {inf_a:.6g} (A)  {inf_b:.6g} (B)")
     return 1 if ks else 0
