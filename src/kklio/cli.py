@@ -119,7 +119,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     print(f"z-width decay rate per step: {s['decay_rate_z']:.6g}")
     print(f"final width_x: {s['final_width_x']:.6g}  max inversion residual: "
           f"{s['max_resid']:.3g}")
-    if s.get("boxes_median") is not None:
+    if s["boxes_median"] is not None:
         print(f"set-inversion boxes per step: median {s['boxes_median']:g}, "
               f"max {s['boxes_max']}")
     if cfg.out:
@@ -155,7 +155,7 @@ def _cmd_compare(cfg: RunConfig, gammas) -> int:
 
 
 def _report_empty_set(s: dict) -> None:
-    if s.get("empty_set_at") is not None:
+    if s["empty_set_at"] is not None:
         print(f"state set empty at k={s['empty_set_at']} (gamma={s['gamma']:g}): no state "
               "maps into the transform bounds, so the noise or the disturbance left its "
               "declared bounds; the run stopped there", file=sys.stderr)

@@ -273,10 +273,15 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
     bounds, and an empty set raises ``EmptyRecoveryError``; the paper's box
     is added as a diagnostic. Otherwise they are the paper's box, from both
     bound vectors inverted in one stacked call, each warm started from its
-    previous recovery.
+    previous recovery. Raises ``ValueError`` on NaN, infinite or unordered
+    transform bounds (``z_lo``, ``z_hi``), which no noise explains.
     """
     if state.k == 0:
         return state
+    n_z = cfg.transform.target.n_z
+    z_lo, z_hi = _finite("z_lo", state.z_lo, n_z), _finite("z_hi", state.z_hi, n_z)
+    if np.any(z_lo > z_hi):
+        raise ValueError("transform bounds are not ordered: z_lo > z_hi somewhere")
     if cfg.enclosure is None:
         warm = None
         if state.inv_hi is not None and state.inv_lo is not None:
@@ -290,7 +295,7 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
     if state.prior is not None:
         (lo, hi), union = state.prior
         lo, hi = np.maximum(box.lo, lo), np.minimum(box.hi, hi)
-    found = (set_invert(cfg.enclosure, state.z_lo, state.z_hi, lo, hi, union)
+    found = (set_invert(cfg.enclosure, z_lo, z_hi, lo, hi, union)
              if np.all(lo <= hi) else None)
     if found is None:
         raise EmptyRecoveryError(state.k)

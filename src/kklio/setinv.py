@@ -18,13 +18,13 @@ once per observer configuration.
 Bisection (Jaulin & Walter, *Automatica* 29(4), 1993). Starting from the
 prior, each level encloses the images of all its boxes at once, drops the
 boxes whose enclosure misses ``[z]``, keeps the boxes whose enclosure lies
-inside ``[z]`` or whose widest side is at most ``_EPS``, and halves the rest
-along their widest axis. Once the next level would pass ``_MAX_BOXES``
-boxes in all, every remaining box is kept as it is. Only the hull matters,
-so a box inside the hull of the boxes known to hold only solutions is not
-split, and the undecided boxes on the hull's faces face a sharper test
-(``QuadraticEnclosure.consistent2``) that drops boxes whose image only
-passes close to ``[z]``.
+inside ``[z]``, and halves the rest along their widest axis. Only the hull
+matters, so a box inside the hull of the boxes known to hold only solutions
+is not split either. Bisection stops once the rest have a widest side of at
+most ``_EPS``, or once the next level would pass ``_MAX_BOXES`` boxes in
+all. The rest are then undecided, and face a sharper test in one pass
+(``QuadraticEnclosure.consistent2``) that drops the boxes whose image only
+passes close to ``[z]``; the others are kept as they are.
 
 Prior sets. The prior is a union of boxes inside the prior box (without
 one, the box alone): the image through linear dynamics of the boxes the
@@ -283,6 +283,11 @@ def disturbance_spread(enc: QuadraticEnclosure, m, x_lo, x_hi, d_lo, d_hi) -> np
     return mag @ d_mag + _PAD_REL * (terms @ d_mag)
 
 
+def _widen(lo, hi):
+    """``[lo, hi]`` widened by ``_PAD_REL (1 + |bound|)`` per bound."""
+    return lo - _PAD_REL * (1.0 + np.abs(lo)), hi + _PAD_REL * (1.0 + np.abs(hi))
+
+
 def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     """Hull of the states of the box ``[lo, hi]`` whose image lies in ``[z_lo, z_hi]``.
 
@@ -290,19 +295,17 @@ def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     (rows), count (``PriorGrid`` over ``[lo, hi]``), or in ``[lo, hi]``
     without one. Bisection, then Krawczyk on its hull (see the module docstring).
     Returns ``(x_lo, x_hi, boxes, kept)`` with ``boxes`` the number of boxes
-    the bisection enclosed and ``kept`` the boxes it kept, clipped to the
-    hull, as ``(box_lo, box_hi)``; or ``None`` when no state of the box can
-    map into ``[z]``.
+    the bisection enclosed and ``kept`` the boxes it kept, padded and clipped
+    to the hull, as ``(box_lo, box_hi)``; or ``None`` when no state of the
+    box can map into ``[z]``.
     """
-    z_lo = np.asarray(z_lo, dtype=float)
-    z_hi = np.asarray(z_hi, dtype=float)
-    z_lo, z_hi = z_lo - _PAD_REL * (1.0 + np.abs(z_lo)), z_hi + _PAD_REL * (1.0 + np.abs(z_hi))
+    z_lo, z_hi = _widen(np.asarray(z_lo, dtype=float), np.asarray(z_hi, dtype=float))
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     union = (lo[None], hi[None]) if prior is None else prior
     found = _bisect(enc, z_lo, z_hi, lo, hi, PriorGrid(lo, hi, *union))
     if found is None:
         return None
-    lo, hi, boxes, kept = found
+    lo, hi, boxes, (box_lo, box_hi) = found
     for _ in range(_KRAWCZYK_SWEEPS):
         new = _krawczyk(enc, z_lo, z_hi, lo, hi)
         if new is None:
@@ -311,18 +314,16 @@ def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
         lo, hi = new
         if not shrunk:
             break
-    c = np.concatenate([c for c, _r in kept])
-    r = np.concatenate([np.broadcast_to(r, c.shape) for c, r in kept])
-    box_lo, box_hi = c - r, c + r
-    box_lo = np.maximum(lo, box_lo - _PAD_REL * (1.0 + np.abs(box_lo)))
-    box_hi = np.minimum(hi, box_hi + _PAD_REL * (1.0 + np.abs(box_hi)))
+    box_lo, box_hi = _widen(box_lo, box_hi)
+    box_lo, box_hi = np.maximum(lo, box_lo), np.minimum(hi, box_hi)
     meets = np.all(box_lo <= box_hi, axis=1)
     return lo, hi, boxes, (box_lo[meets], box_hi[meets])
 
 
 def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid: PriorGrid):
     """Bisection from ``[lo, hi]``: the hull of the kept boxes, the box count
-    and the kept boxes, as ``(centres, radius)`` groups.
+    and the kept boxes, as ``(box_lo, box_hi)`` (rows); or ``None`` when it
+    keeps none.
 
     The boxes of one level all have the same radius ``r``, since each level
     halves every box along the same, widest, axis; they are held as their
@@ -330,13 +331,14 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid: PriorGrid):
     A box whose enclosure lies inside ``[z]`` and that meets marked cells
     only holds only solutions, so the hull of those boxes is part of the
     result, and a box inside that hull needs no splitting: it is kept as it
-    is. The rounding of the centres is within the
-    enclosure's pad, and the hull is padded for it. The tests compare doubled
-    quantities (``QuadraticEnclosure.image2``).
+    is. When bisection stops, the undecided boxes that pass ``consistent2``
+    are kept. The rounding of the centres is within the enclosure's pad, and
+    the hull is padded for it. The tests compare doubled quantities
+    (``QuadraticEnclosure.image2``).
     """
     z_c2, z_r2 = z_lo + z_hi - 2.0 * enc.t0, z_hi - z_lo
     c, r = (0.5 * (lo + hi))[None], 0.5 * (hi - lo)
-    kept = []
+    kept_lo, kept_hi = [c[:0]], [c[:0]]
     inner_lo, inner_hi = np.full_like(r, np.inf), np.full_like(r, -np.inf)
     boxes = 0
     while True:
@@ -354,7 +356,8 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid: PriorGrid):
             inner_hi = np.maximum(inner_hi, c_in.max(axis=0) + r)
             within = np.all((c >= inner_lo + r) & (c <= inner_hi - r), axis=1)
             keep = inside | (split & within)
-            kept.append((c[keep], r))
+            kept_lo.append(c[keep] - r)
+            kept_hi.append(c[keep] + r)
             split &= ~keep
         c = c[split]
         n = len(c)
@@ -362,7 +365,9 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid: PriorGrid):
             break
         axis = int(r.argmax())
         if 2.0 * r[axis] <= _EPS or boxes + 2 * n > _MAX_BOXES:
-            kept.append((_peel(enc, c, r, z_c2, z_r2, inner_lo, inner_hi), r))
+            c = c[enc.consistent2(c, r, z_c2, z_r2)]
+            kept_lo.append(c - r)
+            kept_hi.append(c + r)
             break
         h = 0.5 * r[axis]
         r = r.copy()
@@ -370,37 +375,11 @@ def _bisect(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, grid: PriorGrid):
         c = np.concatenate([c, c])
         c[:n, axis] -= h
         c[n:, axis] += h
-    kept = [(c, r) for c, r in kept if len(c)]
-    if not kept:
+    box_lo, box_hi = np.concatenate(kept_lo), np.concatenate(kept_hi)
+    if not len(box_lo):
         return None
-    hull_lo = np.min([c.min(axis=0) - r for c, r in kept], axis=0)
-    hull_hi = np.max([c.max(axis=0) + r for c, r in kept], axis=0)
-    hull_lo = np.maximum(lo, hull_lo - _PAD_REL * (1.0 + np.abs(hull_lo)))
-    hull_hi = np.minimum(hi, hull_hi + _PAD_REL * (1.0 + np.abs(hull_hi)))
-    return hull_lo, hull_hi, boxes, kept
-
-
-def _peel(enc: QuadraticEnclosure, c, r, z_c2, z_r2, inner_lo, inner_hi):
-    """The undecided boxes left once those on the hull's faces that fail
-    ``consistent2`` are dropped, face by face, until every face box passes.
-
-    Only the faces outside the inner hull are tested: the others cannot move.
-    """
-    passed = np.zeros(len(c), dtype=bool)
-    while len(c):
-        lo_c, hi_c = c.min(axis=0), c.max(axis=0)
-        face = ((c == lo_c) & (lo_c - r < inner_lo)) | ((c == hi_c) & (hi_c + r > inner_hi))
-        face = np.flatnonzero(np.any(face, axis=1) & ~passed)
-        if not len(face):
-            break
-        ok = enc.consistent2(c[face], r, z_c2, z_r2)
-        if ok.all():
-            break
-        passed[face[ok]] = True
-        keep = np.ones(len(c), dtype=bool)
-        keep[face[~ok]] = False
-        c, passed = c[keep], passed[keep]
-    return c
+    hull_lo, hull_hi = _widen(box_lo.min(axis=0), box_hi.max(axis=0))
+    return np.maximum(lo, hull_lo), np.minimum(hi, hull_hi), boxes, (box_lo, box_hi)
 
 
 def _krawczyk(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi):

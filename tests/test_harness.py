@@ -370,18 +370,13 @@ def test_cli_config_wrong_type_exit_3(tmp_path, capsys, command, config):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_violation_exit_2(monkeypatch, capsys):
+def test_cli_violation_exit_2(monkeypatch, capsys, short_noisy):
     import kklio.cli as cli_mod
-
-    class FakeResult:
-        summary = {"preset": "oscillator-siE", "gamma": 1.0, "steps": 5, "noise": True,
-                   "disturbance": False, "violations": 3, "first_violation_k": 2,
-                   "mean_width_x_window": 1.0, "window": (0, 5), "decay_rate_z": 0.4,
-                   "final_width_x": 1.0, "final_width_z": 1.0,
-                   "margin_coefficient": 1.0, "max_resid": 0.0,
-                   "left_box_at": None}
-
-    monkeypatch.setattr(cli_mod, "run_experiment", lambda cfg: FakeResult())
+    # a real run's summary, so it holds every key _summarize returns
+    res, _ = short_noisy
+    fake = dataclasses.replace(res, summary={**res.summary, "violations": 3,
+                                             "first_violation_k": 2})
+    monkeypatch.setattr(cli_mod, "run_experiment", lambda cfg: fake)
     assert main(["run", "--steps", "5"]) == 2
     assert "first at k=2" in capsys.readouterr().err
 

@@ -282,18 +282,46 @@ def test_recovery_at_k0_returns_initial_box(osc):
     np.testing.assert_array_equal(same.x_hi, osc.plant.box_x0.hi)
 
 
+# truths in the invariant box: (-1.505, 0.578) is where a prior-less recovery of
+# (0.8, -0.3) once kept a second cluster, and (-0.33, 0.16) is near-singular
+_TRUTHS = np.vstack([[(0.8, -0.3), (-1.505, 0.578), (-0.33, 0.16)],
+                     np.random.default_rng(0).uniform(-2.0, 2.0, (17, 2))])
+
+
 def test_zero_width_recovery_hits_state(osc):
+    from dataclasses import replace
+    # a hand-built state carries no prior: set inversion starts from the
+    # enlarged box, so only the projected test (consistent2) drops the boxes
+    # around near-preimages
+    for bundle in (osc, build_oscillator(gamma=0.7)):
+        cfg = bundle.observer_cfg
+        for x_bar in _TRUTHS:
+            z = eval_T(bundle.transform, x_bar)
+            state = init_observer(cfg, x_bar, x_bar)
+            state = replace(state, k=1, z_hi=z.copy(), z_lo=z.copy())
+            assert state.prior is None
+            state = recover_x_bounds(state, cfg)
+            assert np.all(state.x_lo <= x_bar) and np.all(x_bar <= state.x_hi)
+            if tuple(x_bar) != (-0.33, 0.16):
+                # the near-singular point's hull is 4e-3 (gamma 1) to 8e-3 off
+                assert np.max(np.abs(state.x_hi - x_bar)) <= 1e-9
+                assert np.max(np.abs(state.x_lo - x_bar)) <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("z_lo", np.nan), ("z_hi", np.nan), ("z_lo", -np.inf), ("z_hi", np.inf),
+    ("z_lo", "above"),
+])
+def test_recovery_refuses_broken_transform_bounds(osc, field, value):
     from dataclasses import replace
     cfg = osc.observer_cfg
     x_bar = np.array([0.8, -0.3])
     z = eval_T(osc.transform, x_bar)
-    state = init_observer(cfg, x_bar, x_bar)
-    state = replace(state, k=1, z_hi=z.copy(), z_lo=z.copy())
-    # a hand-built state carries no prior: set inversion starts from the enlarged box
-    assert state.prior is None
-    state = recover_x_bounds(state, cfg)
-    assert np.max(np.abs(state.x_hi - x_bar)) <= 1e-4
-    assert np.max(np.abs(state.x_lo - x_bar)) <= 1e-4
+    state = replace(init_observer(cfg, x_bar, x_bar), k=1, z_lo=z - 0.01, z_hi=z + 0.01)
+    bad = getattr(state, field).copy()
+    bad[1] = z[1] + 0.1 if value == "above" else value
+    with pytest.raises(ValueError, match="not ordered" if value == "above" else field):
+        recover_x_bounds(replace(state, **{field: bad}), cfg)
 
 
 @pytest.fixture(scope="module")

@@ -174,6 +174,31 @@ def test_set_invert_empty_when_image_misses(osc):
     assert set_invert(enc, z, z, np.array([0.4, 0.4]), np.array([0.6, 0.6])) is None
 
 
+# sha256 of the hull and the kept boxes of 72 recoveries from the enlarged box
+# without a prior: [z] = T(x) and T(x) +- 0.05 for 18 states x at gains 1 and
+# 0.7 (numpy 2.4.6; the same with one and two BLAS threads). Every run step
+# has a prior, so this pins the bisection's stop on the projected test
+# (consistent2), which only a prior-less recovery needs.
+PRIOR_LESS_SHA256 = "717be435e3c56d133b524966f074d1b860619fcd20ed88532d7e7f5ec4ee64f6"
+
+
+def test_prior_less_recoveries_are_pinned(osc):
+    truths = np.vstack([[(0.8, -0.3), (-1.505, 0.578), (-0.33, 0.16)],
+                        np.random.default_rng(0).uniform(-2.0, 2.0, (15, 2))])
+    digest = hashlib.sha256()
+    for bundle in (osc, build_oscillator(gamma=0.7)):
+        enc, box = bundle.observer_cfg.enclosure, bundle.plant.box_x_enlarged
+        for x in truths:
+            z = eval_T(bundle.transform, x)
+            for half in (0.0, 0.05):
+                x_lo, x_hi, _, (box_lo, box_hi) = set_invert(enc, z - half, z + half,
+                                                             box.lo, box.hi)
+                assert np.all(x_lo <= x) and np.all(x <= x_hi)
+                digest.update(np.concatenate([x_lo, x_hi, box_lo.ravel(),
+                                              box_hi.ravel()]).tobytes())
+    assert digest.hexdigest() == PRIOR_LESS_SHA256
+
+
 def test_krawczyk_contracts_a_point_target(osc):
     # a zero-width target inside a small prior: the hull shrinks to rounding level
     enc = osc.observer_cfg.enclosure
