@@ -122,6 +122,10 @@ def _cmd_run(cfg: RunConfig) -> int:
     if s["boxes_median"] is not None:
         print(f"set-inversion boxes per step: median {s['boxes_median']:g}, "
               f"max {s['boxes_max']}")
+    if s["paper_width_x_median"] is not None:
+        paper_rows = sum(1 for r in result.rows if r.paper_width_x is not None)
+        print(f"paper's box (diagnostic): median width_x {s['paper_width_x_median']:.6g}, "
+              f"tighter on {s['paper_box_tighter']} of {paper_rows} rows")
     if cfg.out:
         print(f"trace written to {cfg.out}")
     if cfg.svg:

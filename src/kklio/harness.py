@@ -7,7 +7,8 @@ geometric width-decay fit, the first step at which the true state left the
 enlarged box (``left_box_at``, ``None`` if it never did), the step at which
 recovery found an empty state set (``empty_set_at``), the number of rows
 where the paper's box, kept as a diagnostic, is narrower than the returned
-one (``paper_box_tighter``), and the median and largest number of boxes set
+one (``paper_box_tighter``) and its median width (``paper_width_x_median``;
+``None`` without set inversion), the median and largest number of boxes set
 inversion enclosed per step (``boxes_median``, ``boxes_max``; ``None``
 without set inversion), which the rows carry but the CSV does not. CSV
 output uses 17-significant-digit decimal formatting, so identical
@@ -230,6 +231,7 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int],
     else:
         decay = float("nan")
     boxes = [r.boxes for r in rows if r.boxes is not None]
+    paper = [r.paper_width_x for r in rows if r.paper_width_x is not None]
 
     return {
         "preset": cfg.preset,
@@ -250,6 +252,7 @@ def _summarize(cfg: RunConfig, rows, bundle, left_box_at: Optional[int],
         "empty_set_at": empty_at,
         "paper_box_tighter": sum(1 for r in rows if r.paper_width_x is not None
                                  and r.paper_width_x < r.width_x),
+        "paper_width_x_median": float(np.median(paper)) if paper else None,
         "boxes_median": float(np.median(boxes)) if boxes else None,
         "boxes_max": max(boxes) if boxes else None,
     }

@@ -32,9 +32,10 @@ State-space bounds come from the unframed bounds ``[z]`` in one of two ways:
   A state set that comes out empty means a broken assumption (noise or
   disturbance outside its declared bounds, or the state outside the
   enlarged box) and raises ``EmptyRecoveryError``; recovery never falls
-  back to a wider box. The paper's box (next item) is still computed, from
-  one Gauss-Newton start per bound at the hull's centre, and kept on the
-  state as a diagnostic.
+  back to a wider box. The paper's box (next item) is still computed and
+  kept on the state as a diagnostic: each bound is inverted by Gauss-Newton
+  from one start, its Newton point ``c - pinv(J(c)) (T(c) - z)`` from the
+  hull's centre ``c``.
 * the paper's recovery otherwise (series mode): both bound vectors are
   inverted numerically, ``u = T*(z+)`` and ``v = T*(z-)``, and the bounds
   are ``[max(u, v) - margin, min(u, v) + margin]`` with the inverse-Lipschitz
@@ -271,9 +272,10 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
     unchanged. With set inversion (``cfg.enclosure``) the bounds are the
     contracted hull of the states of the prior whose image lies in the
     bounds, and an empty set raises ``EmptyRecoveryError``; the paper's box
-    is added as a diagnostic. Otherwise they are the paper's box, from both
-    bound vectors inverted in one stacked call, each warm started from its
-    previous recovery. Raises ``ValueError`` on NaN, infinite or unordered
+    is added as a diagnostic, each bound inverted from its Newton point from
+    the hull's centre (``_newton_points``). Otherwise they are the paper's
+    box, from both bound vectors inverted in one stacked call, each warm
+    started from its previous recovery. Raises ``ValueError`` on NaN, infinite or unordered
     transform bounds (``z_lo``, ``z_hi``), which no noise explains.
     """
     if state.k == 0:
@@ -300,12 +302,20 @@ def recover_x_bounds(state: ObserverState, cfg: ObserverConfig) -> ObserverState
     if found is None:
         raise EmptyRecoveryError(state.k)
     x_lo, x_hi, boxes, kept = found
-    centre = 0.5 * (x_lo + x_hi)
-    (paper_lo, paper_hi), u, v, _ = _paper_box(state, cfg, np.stack([centre, centre]),
-                                               lattice=False)
+    (paper_lo, paper_hi), u, v, _ = _paper_box(
+        state, cfg, _newton_points(cfg, x_lo, x_hi, z_hi, z_lo), lattice=False)
     return replace(state, x_hi=x_hi, x_lo=x_lo, inv_hi=u, inv_lo=v,
                    resid_hi=0.0, resid_lo=0.0,
                    paper_lo=paper_lo, paper_hi=paper_hi, x_boxes=kept, boxes=boxes)
+
+
+def _newton_points(cfg: ObserverConfig, x_lo, x_hi, z_hi, z_lo) -> np.ndarray:
+    """The Newton points ``c - pinv(J(c)) (T(c) - z)`` of ``z = z_hi`` and
+    ``z_lo`` from the centre ``c`` of ``[x_lo, x_hi]``, clamped to the
+    inversion box, as the rows of a ``(2, n_x)`` array."""
+    enc, c = cfg.enclosure, 0.5 * (x_lo + x_hi)
+    cm, t_c = np.linalg.pinv(enc.jacobian(c)), enc.value(c)
+    return cfg.inverse_cfg.box.clamp(np.stack([c - cm @ (t_c - z) for z in (z_hi, z_lo)]))
 
 
 def _paper_box(state: ObserverState, cfg: ObserverConfig, warm, lattice: bool):

@@ -188,12 +188,14 @@ class PriorGrid:
     ``[lo, hi]`` that meet one of them: an outer approximation of the union's
     part in ``[lo, hi]``.
 
-    The union's boxes are the rows of ``box_lo`` and ``box_hi``. The grid has
-    the same number of cells along each axis, at most ``_GRID_CELLS`` in all.
-    ``count`` tells, per box, how many marked cells and how many cells it
-    meets. Cell indices are widened by ``_INDEX_SLACK`` of a cell on both
-    sides, so that a box and a union box that share a point share a marked
-    cell despite the rounding of the indices.
+    The union's boxes are the rows of ``box_lo`` and ``box_hi``; those that
+    miss ``[lo, hi]`` mark nothing. The grid has the same number of cells
+    along each axis, at most ``_GRID_CELLS`` in all. ``count`` tells, per
+    box, how many marked cells and how many cells it meets, exactly: both
+    are integer sums, far below the range where floats round. Cell indices
+    are widened by ``_INDEX_SLACK`` of a cell on both sides, so that a box
+    and a union box that share a point share a marked cell despite the
+    rounding of the indices.
     """
 
     def __init__(self, lo, hi, box_lo, box_hi):
@@ -204,24 +206,21 @@ class PriorGrid:
         # an axis too narrow for a finite scale (zero or subnormal) is one cell
         wide = width > per_axis / np.finfo(float).max
         self.scale = np.where(wide, per_axis / np.where(wide, width, 1.0), 0.0)
-        # arrays of (per_axis + 1)^n entries are held flat: a cell range
-        # [i0, i1] has 2^n corners, each taking i0 or i1 + 1 along each axis
+        # a cell range [i0, i1] has 2^n corners in the prefix-sum table, each
+        # taking i0 or i1 + 1 along each axis; the table is held flat
         side = per_axis + 1
         strides = side ** np.arange(n - 1, -1, -1)
         bits = np.array(list(itertools.product((0, 1), repeat=n)))
         self._lo_strides, self._hi_strides = ((1 - bits) * strides).T, (bits * strides).T
-        parity = bits.sum(axis=1)
-        self._signs = (-1.0) ** (n - parity)
-        # mark the cells of every box as a difference array, then sum it up
+        self._signs = (-1.0) ** (n - bits.sum(axis=1))
+        # paint each box's cells, shifted by the table's leading zero along
+        # every axis, then sum them up: prefix sums of the marked cells
         meets = np.all((box_hi >= lo) & (box_lo <= hi), axis=1)
-        corners = self._corners(*self._cells(box_lo[meets], box_hi[meets]))
-        weights = np.broadcast_to((-1.0) ** parity, corners.shape)
-        marks = np.bincount(corners.ravel(), weights.ravel(), side ** n).reshape((side,) * n)
-        for axis in range(n):
-            marks = np.cumsum(marks, axis=axis)
-        # prefix sums of the marked cells, with a leading zero along every axis
+        i0, i1 = self._cells(box_lo[meets], box_hi[meets])
         table = np.zeros((side,) * n)
-        table[(slice(1, None),) * n] = marks[(slice(0, -1),) * n] > 0.5
+        # one tuple of per-axis slices per box
+        for cells in zip(*map(map, [slice] * n, (i0 + 1).T.tolist(), (i1 + 2).T.tolist())):
+            table[cells] = 1.0
         for axis in range(n):
             table = np.cumsum(table, axis=axis)
         self._table = table.reshape(-1)
@@ -288,6 +287,17 @@ def _widen(lo, hi):
     return lo - _PAD_REL * (1.0 + np.abs(lo)), hi + _PAD_REL * (1.0 + np.abs(hi))
 
 
+def _ordered(name_lo: str, lo, name_hi: str, hi):
+    """``lo`` and ``hi`` as float arrays, checked finite and ordered."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for name, v in ((name_lo, lo), (name_hi, hi)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} is not finite: {v}")
+    if (lo > hi).any():
+        raise ValueError(f"bounds are not ordered: {name_lo} > {name_hi} somewhere")
+    return lo, hi
+
+
 def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     """Hull of the states of the box ``[lo, hi]`` whose image lies in ``[z_lo, z_hi]``.
 
@@ -297,10 +307,11 @@ def set_invert(enc: QuadraticEnclosure, z_lo, z_hi, lo, hi, prior=None):
     Returns ``(x_lo, x_hi, boxes, kept)`` with ``boxes`` the number of boxes
     the bisection enclosed and ``kept`` the boxes it kept, padded and clipped
     to the hull, as ``(box_lo, box_hi)``; or ``None`` when no state of the
-    box can map into ``[z]``.
+    box can map into ``[z]``. Raises ``ValueError`` naming the field on NaN,
+    infinite or unordered bounds (``z_lo``/``z_hi``, ``lo``/``hi``).
     """
-    z_lo, z_hi = _widen(np.asarray(z_lo, dtype=float), np.asarray(z_hi, dtype=float))
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    z_lo, z_hi = _widen(*_ordered("z_lo", z_lo, "z_hi", z_hi))
+    lo, hi = _ordered("lo", lo, "hi", hi)
     union = (lo[None], hi[None]) if prior is None else prior
     found = _bisect(enc, z_lo, z_hi, lo, hi, PriorGrid(lo, hi, *union))
     if found is None:

@@ -61,6 +61,23 @@ def test_run_reports_set_inversion_boxes(short_noisy, capsys):
                     f"{res.summary['boxes_median']:g}, max {res.summary['boxes_max']}"]
 
 
+def test_run_reports_the_paper_box(short_noisy, capsys):
+    # the paper's box is a diagnostic: the summary and `kklio run` give its
+    # median width and the rows where it is tighter than the returned box
+    res, _ = short_noisy
+    widths = [r.paper_width_x for r in res.rows[1:]]
+    assert res.rows[0].paper_width_x is None
+    assert res.summary["paper_width_x_median"] == float(np.median(widths))
+    tighter = sum(w < r.width_x for w, r in zip(widths, res.rows[1:]))
+    assert res.summary["paper_box_tighter"] == tighter
+    assert main(["run", "--steps", "40"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    at = [i for i, ln in enumerate(out) if ln.startswith("set-inversion boxes")][0]
+    assert out[at + 1] == ("paper's box (diagnostic): median width_x "
+                           f"{res.summary['paper_width_x_median']:.6g}, "
+                           f"tighter on {tighter} of 40 rows")
+
+
 def test_rows_against_recomputed_truth(short_noisy):
     res, _ = short_noisy
     # independent recomputation of the plant trajectory

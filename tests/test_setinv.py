@@ -2,6 +2,7 @@
 of the observer guarantees with it."""
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -137,6 +138,41 @@ def test_prior_grid_counts_every_box_that_meets_the_union(n_boxes, seed):
     assert all_cells[0] == 128 * 128 and 0.5 < whole[0] <= all_cells[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 12), st.sampled_from(["wide", "zero", "subnormal"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_prior_grid_counts_are_exact(n, n_boxes, first_axis, seed):
+    # the marked and total cells that count() gives for random boxes equal a
+    # brute-force count over the union's clipped index ranges; union boxes
+    # may lie partly or wholly outside the grid, the union may be empty, and
+    # the first axis may have zero or subnormal width (one cell)
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 3.0, n)
+    if first_axis != "wide":
+        lo[0] = 0.0
+        hi[0] = 0.0 if first_axis == "zero" else 5e-324 * rng.integers(1, 1000)
+    reach = np.max(hi - lo)
+    c = rng.uniform(lo - reach, hi + reach, (n_boxes, n))
+    r = rng.uniform(0.0, 0.4 * reach, (n_boxes, n)) * rng.integers(0, 2, (n_boxes, n))
+    grid = PriorGrid(lo, hi, c - r, c + r)
+    per_axis = grid.top + 1
+    marked = np.zeros((per_axis,) * n, dtype=bool)
+    for box_lo, box_hi in zip(c - r, c + r):
+        if np.all((box_hi >= lo) & (box_lo <= hi)):
+            i0, i1 = grid._cells(box_lo[None], box_hi[None])
+            for cell in itertools.product(*map(range, i0[0], i1[0] + 1)):
+                marked[cell] = True
+    q_c = rng.uniform(lo - 0.5 * reach, hi + 0.5 * reach, (40, n))
+    q_r = rng.uniform(0.0, 0.5 * reach, (40, n))
+    got_marked, got_cells = grid.count(q_c, q_r)
+    i0, i1 = grid._cells(q_c - q_r, q_c + q_r)
+    ranges = [[range(a, b + 1) for a, b in zip(*ends)] for ends in zip(i0, i1)]
+    assert np.array_equal(got_cells, [np.prod([len(a) for a in axes]) for axes in ranges])
+    assert np.array_equal(got_marked, [sum(marked[cell] for cell in itertools.product(*axes))
+                                       for axes in ranges])
+
+
 # [z] around T(x), widened by z_half times the fractions below and above,
 # and a prior around x, widened by prior_half times its fractions: cases
 # where Krawczyk without the spread of C J over its box drops solutions
@@ -166,6 +202,27 @@ def test_contraction_keeps_every_sampled_solution(osc, case):
     sol = pts[np.all((tz >= z_lo) & (tz <= z_hi), axis=1)]
     assert len(sol) > 100
     assert np.all(x_lo <= sol) and np.all(sol <= x_hi)
+
+
+@pytest.mark.parametrize("field, bad", [("z_lo", -np.inf), ("z_hi", np.nan),
+                                        ("lo", np.nan), ("hi", np.inf)])
+def test_set_invert_refuses_non_finite_bounds(osc, field, bad):
+    z = eval_T(osc.transform, np.array([0.8, -0.3]))
+    box = osc.plant.box_x_enlarged
+    bounds = {"z_lo": z - 0.05, "z_hi": z + 0.05, "lo": box.lo.copy(), "hi": box.hi.copy()}
+    bounds[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} is not finite"):
+        set_invert(osc.observer_cfg.enclosure, **bounds)
+
+
+@pytest.mark.parametrize("pair", [("z_lo", "z_hi"), ("lo", "hi")])
+def test_set_invert_refuses_unordered_bounds(osc, pair):
+    z = eval_T(osc.transform, np.array([0.8, -0.3]))
+    box = osc.plant.box_x_enlarged
+    bounds = {"z_lo": z - 0.05, "z_hi": z + 0.05, "lo": box.lo, "hi": box.hi}
+    bounds[pair[0]], bounds[pair[1]] = bounds[pair[1]], bounds[pair[0]]
+    with pytest.raises(ValueError, match=f"{pair[0]} > {pair[1]}"):
+        set_invert(osc.observer_cfg.enclosure, **bounds)
 
 
 def test_set_invert_empty_when_image_misses(osc):
